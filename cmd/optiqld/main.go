@@ -55,12 +55,11 @@ func main() {
 		combine  = flag.Bool("combine", false, "enable the hot-key contention engine: per-shard policies arm flat-combining of same-key write runs under skew")
 		combineT = flag.Float64("combine-threshold", 0, "top-key traffic share that arms a shard's combining (0 = default 0.08; disarms below half)")
 		walDir   = flag.String("wal", "", "write-ahead-log directory; enables durability + crash recovery (empty = in-memory only)")
-		fsync    = flag.String("fsync", "interval", "fsync policy: always (ack per batch fsync), interval (group commit), off (OS decides)")
-		fsyncInt = flag.Duration("fsync-interval", 0, "max wait before a group-commit fsync (0 = wal default 2ms)")
+		fsync    = flag.String("fsync", "interval", "fsync policy: always (ack per batch fsync), interval (ack on the group-commit fsync that covers the batch), off (OS decides)")
+		fsyncInt = flag.Duration("fsync-interval", 0, "syncer tick: flush cadence of -fsync off; interval-policy acks do not wait for it (0 = wal default 2ms)")
 		walSeg   = flag.Int64("wal-segment", 0, "segment rotation size in bytes (0 = wal default 64MiB)")
 		walCkpt  = flag.Int64("wal-checkpoint", 0, "sealed bytes between checkpoints (0 = wal default; checkpoints bound replay and reclaim segments)")
 		walQueue = flag.Int("wal-queue", 0, "max appended-but-unsynced ops per shard before writes shed OVERLOADED (interval policy; 0 = no shedding)")
-		walGroup = flag.Int("wal-group", 0, "group-commit fill target in ops per shard (0 = wal default 64)")
 	)
 	flag.Parse()
 
@@ -98,7 +97,6 @@ func main() {
 		WALSegmentBytes:    *walSeg,
 		WALCheckpointBytes: *walCkpt,
 		WALSyncQueueMax:    *walQueue,
-		WALGroupOps:        *walGroup,
 		WALLogf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "optiqld: "+format+"\n", args...)
 		},

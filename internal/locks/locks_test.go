@@ -89,7 +89,7 @@ func TestReadersObserveConsistentState(t *testing.T) {
 	for _, name := range ReaderCapableNames() {
 		t.Run(name, func(t *testing.T) {
 			scheme := MustByName(name)
-			pool := core.NewPool(writers * 4)
+			pool := core.NewPool((writers + readers) * 4) // every Ctx of both roles reserves 4
 			l := scheme.NewLock()
 			var a, b atomic.Uint64
 

@@ -105,12 +105,6 @@ func (e *executor) run() {
 		if bs {
 			e.tb.Record(trace.KindExecBatch, 0, bt0, e.tb.Now()-bt0, 0, uint64(len(buf)))
 		}
-		// Queue ran dry: every client with an op here is now waiting on
-		// an ack, so tell the group-commit syncer to fire rather than sit
-		// out the interval tick with a sub-full group.
-		if e.wal != nil && len(e.ch) == 0 {
-			e.wal.Nudge()
-		}
 	}
 }
 

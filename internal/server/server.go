@@ -88,8 +88,9 @@ type Config struct {
 	// Fsync is the WAL ack policy: wal.SyncAlways, wal.SyncInterval
 	// (default) or wal.SyncOff. Ignored without WALDir.
 	Fsync string
-	// FsyncInterval is the group-commit pacing bound (wal.Config
-	// .Interval); zero means the wal default.
+	// FsyncInterval is the syncer's tick (wal.Config.Interval): the off
+	// policy's flush cadence, not a wait that acks sit out; zero means
+	// the wal default.
 	FsyncInterval time.Duration
 	// WALSegmentBytes / WALCheckpointBytes size segment rotation and the
 	// checkpoint trigger; zero means the wal defaults.
@@ -99,9 +100,6 @@ type Config struct {
 	// writes are shed with StatusOverloaded (interval policy only; zero
 	// disables shedding).
 	WALSyncQueueMax int
-	// WALGroupOps is the group-commit fill target per shard (wal.Config
-	// GroupOps); zero means the wal default (64).
-	WALGroupOps int
 	// WALLogf receives WAL recovery/failure notices (nil discards).
 	WALLogf func(format string, args ...any)
 	// WALSyncFile overrides the log's fsync call — the fault-injection

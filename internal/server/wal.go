@@ -46,7 +46,6 @@ func (s *Server) openWALs() error {
 			SegmentBytes:    s.cfg.WALSegmentBytes,
 			CheckpointBytes: s.cfg.WALCheckpointBytes,
 			SyncQueueMax:    s.cfg.WALSyncQueueMax,
-			GroupOps:        s.cfg.WALGroupOps,
 			SyncFile:        s.cfg.WALSyncFile,
 			Snapshot:        func(emit func(k, v uint64) error) error { return snapshotIndex(idx, ckptCtx, emit) },
 			Counters:        s.reg.NewCounters(),

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,17 +24,11 @@ type Config struct {
 	// SyncOff acks immediately (the log still flushes on ticks and
 	// fsyncs on segment seal and close, but a crash may lose a suffix).
 	Policy string
-	// Interval paces the group-commit syncer: it is the maximum time an
-	// interval-policy ack waits for its fsync. Commits wake the syncer
-	// early once GroupOps ops are queued, so under load the cadence is
-	// set by group fill, and only a trickle waits the full Interval.
+	// Interval is the syncer's tick: the flush cadence of the off policy
+	// and the bound on how long a fire-and-forget append (nil Committer)
+	// stays buffered. Interval-policy acks do not wait for it: every
+	// Commit wakes the syncer.
 	Interval time.Duration
-	// GroupOps is the group-commit fill target in ops: an interval-policy
-	// commit wakes the syncer early once this much fsync debt is queued;
-	// smaller groups ride the Interval tick instead of paying one fsync
-	// per batch. Zero means 64 (the server's default batch size); 1
-	// restores sync-per-commit.
-	GroupOps int
 	// SegmentBytes seals and rotates the active segment once it grows
 	// past this size.
 	SegmentBytes int64
@@ -69,9 +64,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Millisecond
-	}
-	if c.GroupOps <= 0 {
-		c.GroupOps = 64
 	}
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 64 << 20
@@ -138,7 +130,8 @@ type Log struct {
 	// behind Lagging.
 	pendingOps atomic.Int64
 
-	// tmu guards the group-commit ticket queue and the release scratch.
+	// tmu guards the group-commit ticket queue. relScratch is release's
+	// pop buffer and belongs to the one goroutine that releases.
 	tmu        sync.Mutex
 	tickets    []ticket
 	relScratch []ticket
@@ -365,7 +358,7 @@ func (l *Log) rotateLocked() error {
 	if err := l.openSegment(sealed + 1); err != nil {
 		return err
 	}
-	l.releaseAsync()
+	l.wake() // the seal moved the durable watermark; Committed must not run under mu
 	l.maybeCheckpoint(sealedBytes)
 	return nil
 }
@@ -388,7 +381,8 @@ func (l *Log) syncFile(f *os.File) error {
 // Commit registers the acknowledgement for the batch that Append
 // returned seq for, holding n ops. Under SyncAlways it fsyncs inline
 // and acks before returning; under SyncOff it acks immediately; under
-// SyncInterval it queues a ticket released by the group-commit syncer.
+// SyncInterval it queues a ticket and wakes the group-commit syncer,
+// which acks it after the fsync that covers seq.
 // c may be nil (fire-and-forget append).
 func (l *Log) Commit(seq uint64, n int, c Committer) {
 	if c == nil {
@@ -411,30 +405,13 @@ func (l *Log) Commit(seq uint64, n int, c Committer) {
 			c.Committed(nil)
 			return
 		}
-		pend := l.pendingOps.Add(int64(n))
+		l.pendingOps.Add(int64(n))
 		l.tmu.Lock()
 		l.tickets = append(l.tickets, ticket{seq: seq, n: n, c: c})
 		l.tmu.Unlock()
-		// Re-check after enqueue: the syncer may have advanced durable
-		// past seq between the first check and the queue insert.
-		if l.failed.Load() || l.durable.Load() >= seq {
-			l.release()
-		}
-		// Group-commit pacing: wake the syncer only once a full group is
-		// waiting. A sub-group trickle is picked up by the Interval tick,
-		// so an fsync covers GroupOps ops under load instead of one batch.
-		if pend >= int64(l.cfg.GroupOps) {
-			l.wake()
-		}
-	}
-}
-
-// Nudge wakes the group-commit syncer if fsync debt is waiting. The
-// executor calls it when its queue runs dry: no more appends are
-// coming until the queued acks go out, so waiting for group fill or
-// the tick would only stall the pipeline. Cheap no-op otherwise.
-func (l *Log) Nudge() {
-	if l.loop && l.pendingOps.Load() > 0 {
+		// Wake after the enqueue: the syncer takes the token before it
+		// reads the watermarks, so a ticket it missed finds a token waiting
+		// and gets the next round.
 		l.wake()
 	}
 }
@@ -465,9 +442,9 @@ func (l *Log) Err() error {
 	return l.errv
 }
 
-// fail poisons the log with its first unrecoverable error and releases
-// every queued ticket with it. Writes fail from then on; the server
-// keeps serving reads.
+// fail poisons the log with its first unrecoverable error and wakes the
+// syncer to release every queued ticket with it. Writes fail from then
+// on; the server keeps serving reads.
 func (l *Log) fail(err error) {
 	l.emu.Lock()
 	first := l.errv == nil
@@ -479,10 +456,11 @@ func (l *Log) fail(err error) {
 	if first {
 		l.cfg.Logf("wal: log failed, shedding writes: %v", err)
 	}
-	l.release()
+	l.wake()
 }
 
-// wake nudges the syncer without blocking.
+// wake hands the syncer a token without blocking; one pending token
+// covers any number of wakes.
 func (l *Log) wake() {
 	select {
 	case l.notify <- struct{}{}:
@@ -498,7 +476,6 @@ func (l *Log) wake() {
 // sync is skipped rather than touching a closed file.
 func (l *Log) syncTo(target uint64) error {
 	if l.durable.Load() >= target {
-		l.release()
 		return nil
 	}
 	l.mu.Lock()
@@ -531,13 +508,15 @@ func (l *Log) syncTo(target uint64) error {
 		}
 	}
 	l.syncMu.Unlock()
-	l.release()
 	return nil
 }
 
 // release acks every queued ticket covered by the durable watermark —
 // or all of them, with the sticky error, once the log failed. Tickets
-// queue in sequence order, so this pops a prefix.
+// queue in sequence order, so this pops a prefix. Tickets have one
+// releaser, the syncer (Close takes over after stopping it): everyone
+// else wakes it, so the scratch the callbacks run from is never popped
+// into by a second goroutine.
 func (l *Log) release() {
 	err := l.Err()
 	d := l.durable.Load()
@@ -566,22 +545,13 @@ func (l *Log) release() {
 	}
 }
 
-// releaseAsync defers ticket release to the syncer goroutine (used on
-// the rotation path, which holds mu and must not run Committed
-// callbacks under it).
-func (l *Log) releaseAsync() {
-	if l.loop {
-		l.wake()
-		return
-	}
-	// SyncAlways has no syncer; its commits release inline.
-}
-
-// syncLoop is the group-commit engine for the interval and off
-// policies: it syncs when a full group of commits is waiting (the
-// early wake in Commit) and at latest every Interval, so under load
-// one fsync covers GroupOps ops and a trickle still acks within a
-// tick.
+// syncLoop is the syncer: the group-commit engine of the interval
+// policy and the tick flusher of the off policy. One rule paces group
+// commit: a woken syncer yields the processor once, then syncs
+// everything appended, and goes round again if a wake arrived
+// meanwhile. The yield is the batching window and it sizes itself: on
+// an idle process it returns at once, on a busy one the runnable readers
+// and executors run first and their commits join the group.
 func (l *Log) syncLoop() {
 	defer close(l.done)
 	tick := time.NewTicker(l.cfg.Interval)
@@ -591,30 +561,17 @@ func (l *Log) syncLoop() {
 		case <-l.stop:
 			return
 		case <-l.notify:
-			// Batching window: a wake with a sub-full group (an executor
-			// idle nudge) waits a slice of the interval so commits still
-			// in flight — socket buffers, the reader, the executor queue —
-			// join this fsync instead of paying for their own. A full
-			// group syncs immediately.
-			if l.cfg.Policy == SyncInterval && l.pendingOps.Load() < int64(l.cfg.GroupOps) {
-				time.Sleep(l.cfg.Interval / 4)
-			}
+			runtime.Gosched()
 		case <-tick.C:
 		}
-		if l.failed.Load() {
-			l.release()
-			continue
-		}
-		a := l.appended.Load()
-		if a > l.durable.Load() {
+		if a := l.appended.Load(); a > l.durable.Load() && !l.failed.Load() {
 			if l.cfg.Policy == SyncOff {
 				l.flushOnly()
 			} else {
 				l.syncTo(a)
 			}
-		} else {
-			l.release()
 		}
+		l.release()
 	}
 }
 
