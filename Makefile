@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet bench clean
+.PHONY: all build test race lint vet clean
 
 all: build test lint
 
@@ -32,9 +32,6 @@ FORCE:
 
 vet:
 	$(GO) vet ./...
-
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkLookup|BenchmarkARTLookup|BenchmarkOptimisticRead|BenchmarkLeafFind|BenchmarkFP|BenchmarkChildIndex' -benchmem -count 6 ./internal/btree/ ./internal/art/ ./internal/core/
 
 clean:
 	rm -rf bin

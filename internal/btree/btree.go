@@ -78,6 +78,14 @@ type node struct {
 	// truncated descent search: the separators agree on their top
 	// (64-pshift)/8 bytes (fp.go). Read racily; any value is shift-safe.
 	pshift uint8
+	// seqNext is the slot after the node's last insert and seqRun
+	// whether that insert itself landed on the then seqNext: together
+	// the hint that an ascending run is filling the node, which picks
+	// its split point (insertAndSplit, propagateSplit). Read and
+	// written only under the exclusive lock, so never by an optimistic
+	// reader; both live in what was header padding.
+	seqRun  bool
+	seqNext uint16
 	// count is the number of live keys. It is read racily by optimistic
 	// traversals and therefore always used clamped; version validation
 	// rejects any result derived from a torn view.
@@ -149,6 +157,33 @@ func (t *Tree) Height() int {
 		h++
 	}
 	return h
+}
+
+// Shape is the tree's node census: Keys / (Leaves * Fanout()) is the
+// leaf fill.
+type Shape struct {
+	Leaves, Inner, Height, Keys int
+}
+
+// Shape walks the whole tree without locks; like Height it is a
+// diagnostic for a quiescent tree.
+func (t *Tree) Shape() Shape {
+	var s Shape
+	s.walk(t.root.Load(), 1)
+	return s
+}
+
+func (s *Shape) walk(n *node, depth int) {
+	if n.leaf {
+		s.Leaves++
+		s.Keys += n.count
+		s.Height = depth
+		return
+	}
+	s.Inner++
+	for _, child := range n.children[:n.count+1] {
+		s.walk(child, depth+1)
+	}
 }
 
 // clampedCount returns count clamped to the slot capacity, defending

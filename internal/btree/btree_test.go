@@ -133,6 +133,42 @@ func TestInsertDuplicateUpserts(t *testing.T) {
 	}
 }
 
+// TestInsertPessimisticExistingKey replays the window in Insert's slow
+// path: the fast path saw a full leaf without k, released it, and by
+// the time insertPessimistic holds the leaf again another thread has
+// inserted k. The overwrite must be reported as such — on a full root
+// leaf and on a full child leaf (an ascending load leaves those full).
+func TestInsertPessimisticExistingKey(t *testing.T) {
+	tr, pool := newTree(t, "OptiQL", 256)
+	c := ctxFor(t, pool)
+	fanout := uint64(tr.Fanout())
+	for _, n := range []uint64{fanout, 3 * fanout} {
+		for k := uint64(tr.Len()); k < n; k++ {
+			tr.Insert(c, k, k)
+		}
+		leaf := tr.root.Load()
+		for !leaf.leaf {
+			leaf = leaf.children[0]
+		}
+		if !leaf.full() {
+			t.Fatalf("%d ascending keys left the first leaf at %d/%d", n, leaf.count, fanout)
+		}
+		if tr.insertPessimistic(c, 3, 333+n) {
+			t.Errorf("height %d: insertPessimistic reported an existing key as new", tr.Height())
+		}
+		if v, ok := tr.Lookup(c, 3); !ok || v != 333+n {
+			t.Errorf("height %d: value after pessimistic overwrite = (%d, %v)", tr.Height(), v, ok)
+		}
+		if tr.Len() != int(n) {
+			t.Errorf("height %d: Len = %d after overwrite, want %d", tr.Height(), tr.Len(), n)
+		}
+	}
+	if !tr.insertPessimistic(c, 3*fanout, 1) {
+		t.Error("insertPessimistic reported a new key as existing")
+	}
+	checkInvariants(t, tr)
+}
+
 func TestUpdate(t *testing.T) {
 	for _, scheme := range indexSchemes() {
 		t.Run(scheme, func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"optiql/internal/indextest"
 	"optiql/internal/locks"
+	"optiql/internal/obs"
 )
 
 // TestDeleteRebalanceDrain inserts a large population and deletes all
@@ -55,6 +56,56 @@ func TestDeleteRebalanceDrain(t *testing.T) {
 			}
 			checkInvariants(t, tr)
 		})
+	}
+}
+
+// TestDrainAfterAppendSplits drains a tree built by append splits.
+// Those leave every leaf full except a tail leaf of one key, and
+// one-key leaves and one-separator inner nodes along the right spine:
+// nodes below minKeys from birth, which the borrow and merge paths
+// must absorb in either delete direction. Each drain must end in a
+// single empty root leaf with every other node back in the recyclers:
+// freeNode takes one per counted merge plus one per level lost.
+func TestDrainAfterAppendSplits(t *testing.T) {
+	tr, pool := newTree(t, "OptiQL", 256)
+	reg := obs.NewRegistry()
+	c := ctxFor(t, pool)
+	c.SetCounters(reg.NewCounters())
+	n := 7143*tr.Fanout() + 1 // ~100k: full leaves and one key over
+	for _, dir := range []string{"ascending", "descending"} {
+		for k := 0; k < n; k++ {
+			tr.Insert(c, uint64(k), uint64(k))
+		}
+		checkInvariants(t, tr)
+		nodes, height := countNodes(tr)
+		tail := tr.root.Load()
+		for !tail.leaf {
+			tail = tail.children[tail.count]
+		}
+		if fill := leafFill(tr); fill < 0.95 || tail.count != 1 {
+			t.Fatalf("%s: load left fill %.3f and a tail leaf of %d keys, want packed leaves and 1", dir, fill, tail.count)
+		}
+		mergesBefore := reg.Snapshot().Get(obs.EvBTreeMerge)
+		for i := 0; i < n; i++ {
+			k := i
+			if dir == "descending" {
+				k = n - 1 - i
+			}
+			if !tr.Delete(c, uint64(k)) {
+				t.Fatalf("%s: delete miss for %d", dir, k)
+			}
+			if i%5000 == 4999 {
+				checkInvariants(t, tr)
+			}
+		}
+		checkInvariants(t, tr)
+		if s := tr.Shape(); s != (Shape{Leaves: 1, Height: 1}) {
+			t.Fatalf("%s: drained tree is %+v, want one empty root leaf", dir, s)
+		}
+		merges := int(reg.Snapshot().Get(obs.EvBTreeMerge) - mergesBefore)
+		if freed := merges + height - 1; freed != nodes-1 {
+			t.Errorf("%s: %d merges + %d levels lost freed %d nodes, the tree had %d besides the root leaf", dir, merges, height-1, freed, nodes-1)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // checkInvariants walks the quiescent tree white-box and verifies the
 // structural invariants every operation must preserve:
-//   - key counts within capacity,
+//   - key counts within capacity, and no node but the root empty,
 //   - keys strictly sorted inside every node,
 //   - child separator ranges respected,
 //   - all leaves at the same depth,
@@ -42,6 +42,9 @@ func checkInvariants(t *testing.T, tr *Tree) {
 				t.Fatalf("key %d not below upper bound %d", k, hi)
 			}
 		}
+		if n != root && n.count == 0 {
+			t.Fatalf("empty non-root node (leaf=%v) at depth %d", n.leaf, depth)
+		}
 		if n.leaf {
 			if leafDepth == -1 {
 				leafDepth = depth
@@ -56,9 +59,6 @@ func checkInvariants(t *testing.T, tr *Tree) {
 			leaves = append(leaves, n)
 			total += n.count
 			return
-		}
-		if n != root && n.count == 0 {
-			t.Fatal("non-root inner node with zero keys")
 		}
 		if n.count > 0 {
 			pb := bits.LeadingZeros64(n.keys[0]^n.keys[n.count-1]) / 8

@@ -218,6 +218,7 @@ func (t *Tree) newLeaf(c *locks.Ctx) *node {
 		locks.BumpOnReuse(n.lock)
 		n.count = 0
 		n.next = nil
+		n.seqRun, n.seqNext = false, 0
 		return n
 	}
 	n := makeLeaf(t.class, t.fanout)
@@ -238,6 +239,7 @@ func (t *Tree) newInner(c *locks.Ctx) *node {
 		n := x.(*node)
 		locks.BumpOnReuse(n.lock)
 		n.count = 0
+		n.seqRun, n.seqNext = false, 0
 		return n
 	}
 	n := makeInner(t.class, t.fanout)

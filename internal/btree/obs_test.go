@@ -77,23 +77,11 @@ func TestRestartCounterExact(t *testing.T) {
 	}
 }
 
-// countNodes walks the quiescent tree, returning total node count and
+// countNodes returns the quiescent tree's total node count and its
 // height in levels.
 func countNodes(tr *Tree) (nodes, height int) {
-	var walk func(n *node, depth int)
-	walk = func(n *node, depth int) {
-		nodes++
-		if depth > height {
-			height = depth
-		}
-		if !n.leaf {
-			for i := 0; i <= n.count; i++ {
-				walk(n.children[i], depth+1)
-			}
-		}
-	}
-	walk(tr.root.Load(), 1)
-	return
+	s := tr.Shape()
+	return s.Leaves + s.Inner, s.Height
 }
 
 // TestSplitMergeCounters checks the structure-modification counters

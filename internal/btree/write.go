@@ -102,8 +102,7 @@ first:
 		if n.full() {
 			if _, found := n.leafFind(k); !found {
 				n.lock.ReleaseEx(c, wtok)
-				t.insertPessimistic(c, k, v)
-				return true
+				return t.insertPessimistic(c, k, v)
 			}
 		}
 		ins := t.insertLocked(n, wtok, k, v)
@@ -134,8 +133,7 @@ first:
 				if _, found := child.leafFind(k); !found {
 					// Needs a split: fall back to pessimistic insert.
 					child.lock.ReleaseEx(c, wtok)
-					t.insertPessimistic(c, k, v)
-					return true
+					return t.insertPessimistic(c, k, v)
 				}
 			}
 			ins := t.insertLocked(child, wtok, k, v)
@@ -163,12 +161,7 @@ func (t *Tree) insertLocked(n *node, wtok locks.Token, k, v uint64) bool {
 		n.values[i] = v
 		return false
 	}
-	copy(n.keys[i+1:n.count+1], n.keys[i:n.count])
-	copy(n.values[i+1:n.count+1], n.values[i:n.count])
-	n.fpInsert(i, n.count, k)
-	n.keys[i] = k
-	n.values[i] = v
-	n.count++
+	t.insertIntoLeaf(n, i, k, v)
 	t.size.Add(1)
 	return true
 }
@@ -183,8 +176,10 @@ type held struct {
 // leaf, keeping locks on the chain of full ("unsafe") nodes that a
 // split may propagate into, then inserts and splits bottom-up. This is
 // the classic SMO path of pessimistic lock coupling, used by all
-// schemes once the optimistic fast path has detected a full leaf.
-func (t *Tree) insertPessimistic(c *locks.Ctx, k, v uint64) {
+// schemes once the optimistic fast path has detected a full leaf. The
+// fast path released that leaf first, so k may have been inserted by
+// another thread since: the result is Insert's (false on overwrite).
+func (t *Tree) insertPessimistic(c *locks.Ctx, k, v uint64) bool {
 	goto first
 retry:
 	c.Counters().Inc(obs.EvOpRestart)
@@ -218,39 +213,56 @@ first:
 	for _, h := range stack {
 		h.n.lock.CloseWindow(h.tok)
 	}
-	t.insertAndSplit(c, stack, k, v)
+	ins := t.insertAndSplit(c, stack, k, v)
 	for _, h := range stack {
 		h.n.lock.ReleaseEx(c, h.tok)
 	}
+	return ins
 }
 
 // insertAndSplit inserts (k, v) into the leaf at the top of the locked
-// stack, splitting upward through the locked ancestors as needed.
-func (t *Tree) insertAndSplit(c *locks.Ctx, stack []held, k, v uint64) {
+// stack, splitting upward through the locked ancestors as needed. It
+// returns whether k was new.
+func (t *Tree) insertAndSplit(c *locks.Ctx, stack []held, k, v uint64) bool {
 	leaf := stack[len(stack)-1].n
-	if i, found := leaf.leafFind(k); found {
+	i, found := leaf.leafFind(k)
+	if found {
 		leaf.values[i] = v
-		return
+		return false
 	}
+	t.size.Add(1)
 	if !leaf.full() {
-		t.insertIntoLeaf(leaf, k, v)
-		t.size.Add(1)
-		return
+		t.insertIntoLeaf(leaf, i, k, v)
+		return true
 	}
-	// Split the leaf. The new key goes into its half before the right
-	// sibling is published anywhere (sibling pointer or parent slot),
-	// so no traversal can observe the sibling mid-modification.
-	sep, right := t.splitLeaf(c, leaf)
+	// Split point: the middle, unless k continues an ascending run
+	// into this leaf (the last two inserts each landed in the slot
+	// after the one before, and so does k). Then the split falls at k,
+	// so a sequential load leaves full leaves behind, not half-empty
+	// ones. At the leaf's end that keeps the leaf whole and k starts
+	// the sibling; mid-leaf it parts the run from some other stream's
+	// larger keys, and k stays left as the last key below the
+	// separator, as a key landing exactly at a middle split always has.
+	mid := leaf.count / 2
+	if leaf.seqRun && i == int(leaf.seqNext) {
+		mid = i
+	}
+	// The new key goes into its half (the sibling, too, when the cut
+	// leaves that empty) before the right sibling is published anywhere
+	// (sibling pointer or parent slot), so no traversal can observe the
+	// sibling mid-modification.
+	toRight := i > mid || mid == leaf.count
+	right := t.splitLeaf(c, leaf, mid)
 	c.Counters().Inc(obs.EvBTreeSplit)
-	if k >= sep {
-		t.insertIntoLeaf(right, k, v)
+	if toRight {
+		t.insertIntoLeaf(right, i-mid, k, v)
 	} else {
-		t.insertIntoLeaf(leaf, k, v)
+		t.insertIntoLeaf(leaf, i, k, v)
 	}
 	right.next = leaf.next
 	leaf.next = right
-	t.size.Add(1)
-	t.propagateSplit(c, stack, len(stack)-2, sep, right)
+	t.propagateSplit(c, stack, len(stack)-2, right.keys[0], right)
+	return true
 }
 
 // propagateSplit inserts separator sep and new right node into the
@@ -275,7 +287,17 @@ func (t *Tree) propagateSplit(c *locks.Ctx, stack []held, idx int, sep uint64, r
 		t.insertIntoInner(parent, sep, right)
 		return
 	}
-	psep, pright := t.splitInner(c, parent)
+	// Same choice one level up, where the key at the split point moves
+	// up: within one slot of the end the point steps back, so that the
+	// sibling is left a separator (or gets sep).
+	mid := parent.count / 2
+	if i := parent.lowerBound(sep); parent.seqRun && i == int(parent.seqNext) {
+		mid = i
+		if i >= parent.count-1 {
+			mid = i - 1
+		}
+	}
+	psep, pright := t.splitInner(c, parent, mid)
 	c.Counters().Inc(obs.EvBTreeSplit)
 	if sep >= psep {
 		t.insertIntoInner(pright, sep, right)
@@ -285,43 +307,53 @@ func (t *Tree) propagateSplit(c *locks.Ctx, stack []held, idx int, sep uint64, r
 	t.propagateSplit(c, stack, idx-1, psep, pright)
 }
 
-// splitLeaf moves the upper half of leaf into a fresh right sibling and
-// returns the separator (first key of the right node) and the sibling.
-// The caller holds the leaf exclusively and is responsible for linking
-// the sibling chain after any pending insert into the new node.
-func (t *Tree) splitLeaf(c *locks.Ctx, n *node) (uint64, *node) {
+// splitLeaf moves n's keys from slot mid up (possibly none) into a
+// fresh right sibling and returns it. The caller holds the leaf
+// exclusively and is responsible for linking the sibling chain after
+// the pending insert, which also gives an empty sibling its first key.
+func (t *Tree) splitLeaf(c *locks.Ctx, n *node, mid int) *node {
 	right := t.newLeaf(c)
-	mid := n.count / 2
 	copy(right.keys, n.keys[mid:n.count])
 	copy(right.values, n.values[mid:n.count])
 	copy(right.fps, n.fps[mid:n.count])
 	right.count = n.count - mid
 	n.count = mid
-	return right.keys[0], right
+	n.seqRun = false // until the next insert into n says otherwise
+	return right
 }
 
-// splitInner moves the upper half of an inner node into a fresh right
-// sibling, returning the separator pushed up and the sibling.
-func (t *Tree) splitInner(c *locks.Ctx, n *node) (uint64, *node) {
+// splitInner moves the separators above slot mid into a fresh right
+// sibling, returning the separator pushed up (keys[mid]) and the
+// sibling.
+func (t *Tree) splitInner(c *locks.Ctx, n *node, mid int) (uint64, *node) {
 	right := t.newInner(c)
-	mid := n.count / 2
 	sep := n.keys[mid]
 	copy(right.keys, n.keys[mid+1:n.count])
 	copy(right.children, n.children[mid+1:n.count+1])
 	right.count = n.count - mid - 1
 	n.count = mid
+	n.seqRun = false
 	n.refreshInnerMeta()
 	right.refreshInnerMeta()
 	return sep, right
 }
 
-func (t *Tree) insertIntoLeaf(n *node, k, v uint64) {
-	i, _ := n.leafFind(k)
+// noteInsert records an insert at slot i in the split-point hint: the
+// slot after it, and whether it was itself the slot after the last.
+func (n *node) noteInsert(i int) {
+	n.seqRun = i == int(n.seqNext)
+	n.seqNext = uint16(i + 1)
+}
+
+// insertIntoLeaf places (k, v) at slot i of a leaf with room. The
+// caller holds the leaf exclusively.
+func (t *Tree) insertIntoLeaf(n *node, i int, k, v uint64) {
 	copy(n.keys[i+1:n.count+1], n.keys[i:n.count])
 	copy(n.values[i+1:n.count+1], n.values[i:n.count])
 	n.fpInsert(i, n.count, k)
 	n.keys[i] = k
 	n.values[i] = v
+	n.noteInsert(i)
 	n.count++
 }
 
@@ -331,6 +363,7 @@ func (t *Tree) insertIntoInner(n *node, sep uint64, right *node) {
 	copy(n.children[i+2:n.count+2], n.children[i+1:n.count+1])
 	n.keys[i] = sep
 	n.children[i+1] = right
+	n.noteInsert(i)
 	n.count++
 	n.refreshInnerMeta()
 }

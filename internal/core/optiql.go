@@ -290,11 +290,14 @@ func (l *OptiQL) ReleaseShQueued(qnode *QNode, opportunistic bool) int {
 	v := qnode.version.Load()
 	if qnode.next.Load() == nil {
 		// Shared holds publish the version they inherited, unchanged.
-		expected := LockedBit | uint64(qnode.id)<<qidShift
-		if opportunistic {
-			expected |= OpReadBit | v
-		}
-		if l.word.CompareAndSwap(expected, v) {
+		// While we are the latest requester the word is our Swap's,
+		// plus the window (OpReadBit | v) if whoever admitted us opened
+		// one after that Swap: we did on the free path, a releasing
+		// writer may have, a releasing shared tail never does. Both
+		// forms say nobody queued behind us.
+		bare := LockedBit | uint64(qnode.id)<<qidShift
+		if l.word.CompareAndSwap(bare, v) ||
+			opportunistic && l.word.CompareAndSwap(bare|OpReadBit|v, v) {
 			return 0
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,6 +200,42 @@ func TestBatchGrantSharedPrefix(t *testing.T) {
 	// W0 published 1, the group carried it, W1 published 2, S3 carried it.
 	if got := l.Version(); got != 2 {
 		t.Fatalf("final version = %d, want 2", got)
+	}
+}
+
+// TestQueuedSharedReleaseWordWithoutWindow pins the release of a
+// shared holder that is the latest requester and whose word carries no
+// window bits: S queued behind a shared holder R, so S's Swap wiped the
+// OpRead|version R had published and R's handover (unlike a writer's)
+// publishes none. S must still return the word to the unlocked state;
+// with nobody left to queue behind it, waiting for a successor instead
+// is a hang (it was the one in TestQueuedSharedMutualExclusion).
+func TestQueuedSharedReleaseWordWithoutWindow(t *testing.T) {
+	for _, opportunistic := range []bool{true, false} {
+		pool := NewPool(2)
+		var l OptiQL
+		r, s := pool.Get(), pool.Get()
+		l.AcquireShQueued(r, opportunistic)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			l.AcquireShQueued(s, opportunistic)
+			l.ReleaseShQueued(s, opportunistic)
+		}()
+		for r.next.Load() == nil { // until S has queued behind R
+			runtime.Gosched()
+		}
+		if fan := l.ReleaseShQueued(r, opportunistic); fan != 1 {
+			t.Fatalf("opportunistic=%v: R's release fanout = %d, want 1 (handover to S)", opportunistic, fan)
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("opportunistic=%v: S never finished releasing; lock word %#x", opportunistic, l.word.Load())
+		}
+		if l.IsLocked() || l.Version() != 0 {
+			t.Fatalf("opportunistic=%v: word %#x after both releases, want unlocked at version 0", opportunistic, l.word.Load())
+		}
 	}
 }
 

@@ -166,6 +166,73 @@ func TestWALCheckpointUnderLoad(t *testing.T) {
 	}
 }
 
+// TestWALRecoveryKeepsDensity checks that recovery rebuilds trees as
+// dense as a preload leaves them: a checkpoint is applied in key
+// order, so each shard sees one ascending run and its leaves come back
+// packed, not half empty.
+func TestWALRecoveryKeepsDensity(t *testing.T) {
+	dir := t.TempDir()
+	cfg := walConfig(dir, "btree", wal.SyncOff)
+	cfg.WALSegmentBytes, cfg.WALCheckpointBytes = 0, 0 // defaults: only the forced checkpoint runs
+	srv, addr := startServer(t, cfg)
+	cl, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, window = 50_000, 250
+	for base := uint64(1); base <= n; base += window {
+		for k := base; k < base+window; k++ {
+			if err := cl.Send(wire.Put(k, k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for k := base; k < base+window; k++ {
+			if r, err := cl.Recv(); err != nil || r.Status != wire.StatusOK {
+				t.Fatalf("put %d: %+v %v", k, r, err)
+			}
+		}
+	}
+	cl.Close()
+	shapes := func(s *Server) (keys int, minFill float64) {
+		minFill = 1
+		for _, sh := range s.shards {
+			tr := sh.idx.(btreeIndex).t
+			shape := tr.Shape()
+			keys += shape.Keys
+			minFill = min(minFill, float64(shape.Keys)/float64(shape.Leaves*tr.Fanout()))
+		}
+		return keys, minFill
+	}
+	if keys, fill := shapes(srv); keys != n || fill < 0.95 {
+		t.Fatalf("loaded %d keys at leaf fill %.3f, want %d at >= 0.95", keys, fill, n)
+	}
+	for _, sh := range srv.shards {
+		if err := sh.wal.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, _ := startServer(t, cfg)
+	var fromCheckpoint uint64
+	for _, rec := range srv2.WALRecovery() {
+		fromCheckpoint += rec.CheckpointPairs
+	}
+	if fromCheckpoint != n {
+		t.Fatalf("recovery applied %d checkpoint pairs, want %d", fromCheckpoint, n)
+	}
+	if keys, fill := shapes(srv2); keys != n || srv2.Len() != n || fill < 0.95 {
+		t.Fatalf("recovered %d keys (Len %d) at leaf fill %.3f, want %d at >= 0.95", keys, srv2.Len(), fill, n)
+	}
+}
+
 // TestWALLagShedsOverloaded gates fsync shut so group-commit debt
 // piles up past SyncQueueMax, asserts new writes are answered
 // StatusOverloaded while the queued ones are merely delayed, then
@@ -207,13 +274,15 @@ func TestWALLagShedsOverloaded(t *testing.T) {
 	if err := clA.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until every shard's fsync debt is over budget.
+	// Wait until every shard's fsync debt has reached the budget
+	// (wal.Log.Lagging's own comparison: the burst's tail is shed from
+	// there on, so the debt may stop exactly at it).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		rep := srv.WALReport()
 		over := len(rep.PendingOps) > 0
 		for _, p := range rep.PendingOps {
-			if p <= int64(cfg.WALSyncQueueMax) {
+			if p < int64(cfg.WALSyncQueueMax) {
 				over = false
 			}
 		}
@@ -243,18 +312,55 @@ func TestWALLagShedsOverloaded(t *testing.T) {
 	if rep := srv.WALReport(); rep.LagSheds == 0 {
 		t.Fatalf("shed writes not counted in report: %+v", rep)
 	}
-	// Open the gate: the stuck burst commits and acks OK.
+	// Open the gate: every burst write that was queued commits and acks
+	// OK. The reader screens each frame against the debt the executor
+	// has built from the frames before it, and with the gate shut a
+	// shard's debt only grows, so per shard the burst is answered OK for
+	// a prefix of at least WALSyncQueueMax writes and Overloaded for the
+	// rest, never OK again after a shed.
 	open()
+	admitted := make([]int, len(srv.shards))
+	shedFrom := make([]int, len(srv.shards))
+	var burstShed [burst]bool
+	sheds := uint64(8) // clB's
 	for i := 0; i < burst; i++ {
 		r, err := clA.Recv()
-		if err != nil || r.Status != wire.StatusOK {
-			t.Fatalf("queued write %d after gate opened = %+v %v, want OK", i, r, err)
+		if err != nil {
+			t.Fatalf("queued write %d after gate opened: %v", i, err)
 		}
+		si := srv.shardIdx(uint64(i))
+		switch {
+		case r.Status == wire.StatusOK && shedFrom[si] == 0:
+			admitted[si]++
+		case r.Status == wire.StatusOverloaded && admitted[si] >= cfg.WALSyncQueueMax:
+			shedFrom[si] = i + 1
+			burstShed[i] = true
+			sheds++
+		default:
+			t.Fatalf("queued write %d (shard %d: %d admitted, shedding since write %d) = %+v, want OK then Overloaded",
+				i, si, admitted[si], shedFrom[si]-1, r)
+		}
+	}
+	if rep := srv.WALReport(); rep.LagSheds != sheds {
+		t.Fatalf("report counts %d lag sheds, clients saw %d Overloaded", rep.LagSheds, sheds)
 	}
 	// And new writes succeed again.
 	r, err := clB.Do(wire.Put(200, 1))
 	if err != nil || r.Status != wire.StatusOK {
 		t.Fatalf("put after recovery = %+v %v", r, err)
+	}
+	// An OK'd write was applied, a shed one was not.
+	for i := uint64(0); i < burst+8; i++ {
+		k, want := i, wire.Response{Status: wire.StatusOK, Value: i + 1}
+		if i >= burst {
+			k = 100 + i - burst
+		}
+		if i >= burst || burstShed[i] {
+			want = wire.Response{Status: wire.StatusNotFound}
+		}
+		if r, err := clB.Do(wire.Get(k)); err != nil || r.Status != want.Status || r.Value != want.Value {
+			t.Fatalf("get %d after recovery = %+v %v, want %+v", k, r, err, want)
+		}
 	}
 }
 
