@@ -20,10 +20,13 @@ race:
 # standalone (module-wide facts, unused-suppression reporting) and via
 # go vet's -vettool protocol (per-package, integrates with the build
 # cache). The binary is cached in bin/ and rebuilt only when its
-# sources change, via go build's own staleness check.
+# sources change, via go build's own staleness check. The escape gate
+# then asks the compiler what the analyzers cannot see across calls:
+# which hot-path locals it moved to the heap (scripts/escape_allow.txt).
 lint: bin/optiqlvet
 	./bin/optiqlvet ./...
 	$(GO) vet -vettool=$(abspath bin/optiqlvet) ./...
+	scripts/escape_check.sh
 
 bin/optiqlvet: FORCE
 	$(GO) build -o bin/optiqlvet ./cmd/optiqlvet

@@ -18,8 +18,9 @@
 //     custody and leaves the tracked set (this is how the B+-tree's
 //     pessimistic SMO stack works); CloseWindow and Upgrade uses do
 //     not count as escapes.
-//   - `if x.Upgrade(c, &tok)` promotes tok to exclusively-held in the
-//     branch where the upgrade succeeded.
+//   - `if tok, ok = x.Upgrade(c, tok); ok` promotes tok to
+//     exclusively-held in the branch where the upgrade succeeded
+//     (shcheck rejects every other way of consuming Upgrade).
 //
 // Branches are analyzed independently and joined by union (held in
 // any continuing branch counts as held); loop bodies are checked for
@@ -291,10 +292,10 @@ func (c *checker) execIf(stmt *ast.IfStmt, st *state) bool {
 	}
 	thenSt := st.clone()
 	elseSt := st.clone()
-	// Upgrade promotion: `if x.Upgrade(c, &tok)` holds tok in the
-	// then-branch; `if !x.Upgrade(c, &tok)` holds it on the
-	// fallthrough/else side.
-	if tok, pos, negated, ok := c.upgradeCond(stmt.Cond); ok {
+	// Upgrade promotion: `if tok, ok = x.Upgrade(c, tok); ok` holds tok
+	// in the then-branch; with `!ok` it is held on the fallthrough/else
+	// side.
+	if tok, pos, negated, ok := c.upgradeCond(stmt); ok {
 		if negated {
 			elseSt.held[tok] = pos
 		} else {
@@ -324,27 +325,35 @@ func (c *checker) execIf(stmt *ast.IfStmt, st *state) bool {
 	return false
 }
 
-// upgradeCond matches `x.Upgrade(c, &tok)` optionally under ! and
-// parentheses, returning the token object and whether it is negated.
-func (c *checker) upgradeCond(cond ast.Expr) (types.Object, token.Pos, bool, bool) {
+// upgradeCond matches `if tok, ok = x.Upgrade(c, tok); ok` (or `!ok`,
+// `:=`, parentheses), returning the token object that receives the
+// upgraded token and whether the condition is negated.
+func (c *checker) upgradeCond(stmt *ast.IfStmt) (types.Object, token.Pos, bool, bool) {
+	asg, ok := stmt.Init.(*ast.AssignStmt)
+	if !ok || len(asg.Lhs) != 2 || len(asg.Rhs) != 1 {
+		return nil, token.NoPos, false, false
+	}
+	call, ok := ast.Unparen(asg.Rhs[0]).(*ast.CallExpr)
+	if !ok || !analysis.IsPkgFunc(c.info(), call, lockPkgName, "Upgrade") {
+		return nil, token.NoPos, false, false
+	}
+	tokID, ok1 := asg.Lhs[0].(*ast.Ident)
+	flagID, ok2 := asg.Lhs[1].(*ast.Ident)
+	if !ok1 || !ok2 {
+		return nil, token.NoPos, false, false
+	}
 	negated := false
-	e := ast.Unparen(cond)
+	e := ast.Unparen(stmt.Cond)
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.NOT {
 		negated = true
 		e = ast.Unparen(u.X)
 	}
-	call, ok := e.(*ast.CallExpr)
-	if !ok || !analysis.IsPkgFunc(c.info(), call, lockPkgName, "Upgrade") {
+	cond, ok := e.(*ast.Ident)
+	if !ok || c.info().Uses[cond] == nil || c.info().Uses[cond] != c.lhsObj(flagID) {
 		return nil, token.NoPos, false, false
 	}
-	for _, arg := range call.Args {
-		if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
-			if id, ok := ast.Unparen(u.X).(*ast.Ident); ok {
-				if obj := c.info().Uses[id]; obj != nil {
-					return obj, call.Pos(), negated, true
-				}
-			}
-		}
+	if obj := c.lhsObj(tokID); obj != nil {
+		return obj, call.Pos(), negated, true
 	}
 	return nil, token.NoPos, false, false
 }

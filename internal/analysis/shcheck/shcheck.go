@@ -22,8 +22,11 @@
 //   - A deferred ReleaseSh discards the validation result by
 //     construction and is flagged (pessimistic-only paths document
 //     themselves with an optiqlvet:ignore directive).
-//   - Upgrade's boolean must be branched on: an unchecked upgrade
-//     continues as if it held the lock exclusively.
+//   - Upgrade's flag must be branched on where it is produced, as
+//     `if tok, ok = x.Upgrade(c, tok); ok` (or `!ok`): an unchecked
+//     upgrade continues as if it held the lock exclusively, and this
+//     one shape is what expair follows into the exclusive hold.
+//     Returning both results passes the obligation to the caller.
 //
 // Soundness gaps (documented in DESIGN.md §10): the check is
 // per-function and name-based; tokens passed across function
@@ -104,7 +107,7 @@ func checkAcquireSh(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) {
 }
 
 func checkUpgrade(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) {
-	if usedAsControl(pass, call, stack) {
+	if upgradeBranched(pass, stack) {
 		return
 	}
 	pass.Reportf(call.Pos(), "Upgrade result must be branched on: an unchecked upgrade proceeds without holding the lock exclusively (in %s)", analysis.EnclosingFuncName(stack))
@@ -135,6 +138,52 @@ func checkReleaseSh(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) {
 		return
 	}
 	pass.Reportf(call.Pos(), "ReleaseSh validation result must reach a branch, return or caller (in %s)", analysis.EnclosingFuncName(stack))
+}
+
+// upgradeBranched reports whether the Upgrade call on top of stack is
+// the init of an if statement whose condition reads the flag it
+// assigns, or is returned whole.
+func upgradeBranched(pass *analysis.Pass, stack []ast.Node) bool {
+	i := len(stack) - 1
+	for i >= 0 {
+		if _, ok := stack[i].(*ast.ParenExpr); !ok {
+			break
+		}
+		i--
+	}
+	if i < 1 {
+		return false
+	}
+	if _, ok := stack[i].(*ast.ReturnStmt); ok {
+		return true
+	}
+	asg, ok := stack[i].(*ast.AssignStmt)
+	if !ok || len(asg.Lhs) != 2 || len(asg.Rhs) != 1 {
+		return false
+	}
+	ifs, ok := stack[i-1].(*ast.IfStmt)
+	if !ok || ifs.Init != asg {
+		return false
+	}
+	flag, ok := asg.Lhs[1].(*ast.Ident)
+	if !ok || flag.Name == "_" {
+		return false
+	}
+	obj := pass.Info.Defs[flag]
+	if obj == nil {
+		obj = pass.Info.Uses[flag]
+	}
+	if obj == nil {
+		return false
+	}
+	read := false
+	ast.Inspect(ifs.Cond, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && pass.Info.Uses[id] == obj {
+			read = true
+		}
+		return !read
+	})
+	return read
 }
 
 // checkAssignedFlag handles `ok := x.ReleaseSh(c, tok)`: the assigned

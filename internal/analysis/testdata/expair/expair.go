@@ -80,10 +80,24 @@ func goodUpgradeRelease(l *locks.OptLock, c *locks.Ctx) {
 	if !ok {
 		return
 	}
-	if l.Upgrade(c, &tok) {
+	if tok, ok = l.Upgrade(c, tok); ok {
 		work()
 		l.ReleaseEx(c, tok)
 	}
+}
+
+// goodUpgradeNegated is the ART write path's shape: the failed upgrade
+// leaves, the fallthrough side holds the token.
+func goodUpgradeNegated(l *locks.OptLock, c *locks.Ctx) {
+	tok, ok := l.AcquireSh(c)
+	if !ok {
+		return
+	}
+	if tok, ok = l.Upgrade(c, tok); !ok {
+		return
+	}
+	work()
+	l.ReleaseEx(c, tok)
 }
 
 // goodExhaustiveSwitch releases in every arm of an exhaustive
@@ -149,11 +163,24 @@ func badUpgradeLeak(l *locks.OptLock, c *locks.Ctx) {
 	if !ok {
 		return
 	}
-	if l.Upgrade(c, &tok) {
+	if tok, ok = l.Upgrade(c, tok); ok {
 		work()
 		return // want "is not released on this path \\(return\\)"
 	}
 }
+
+// badUpgradeFallthroughLeak holds the token on the fallthrough side of
+// a negated check and falls off the function end with it.
+func badUpgradeFallthroughLeak(l *locks.OptLock, c *locks.Ctx) {
+	tok, ok := l.AcquireSh(c)
+	if !ok {
+		return
+	}
+	if tok, ok = l.Upgrade(c, tok); !ok {
+		return
+	}
+	work()
+} // want "is not released on this path \\(function end\\)"
 
 // badLoopLeak acquires per iteration and never releases.
 func badLoopLeak(l *locks.OptLock, c *locks.Ctx) {

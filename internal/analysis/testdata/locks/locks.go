@@ -13,13 +13,13 @@ type Token struct{ v uint64 }
 // OptLock mirrors the optimistic lock word.
 type OptLock struct{ w uint64 }
 
-func (l *OptLock) AcquireSh(c *Ctx) (Token, bool) { return Token{v: l.w}, true }
-func (l *OptLock) ReleaseSh(c *Ctx, t Token) bool { return t.v == l.w }
-func (l *OptLock) AcquireEx(c *Ctx) Token         { return Token{v: l.w} }
-func (l *OptLock) ReleaseEx(c *Ctx, t Token)      { _ = t }
-func (l *OptLock) Upgrade(c *Ctx, t *Token) bool  { return t.v == l.w }
-func (l *OptLock) CloseWindow(t Token)            { _ = t }
-func (l *OptLock) BumpVersion()                   { l.w++ }
+func (l *OptLock) AcquireSh(c *Ctx) (Token, bool)        { return Token{v: l.w}, true }
+func (l *OptLock) ReleaseSh(c *Ctx, t Token) bool        { return t.v == l.w }
+func (l *OptLock) AcquireEx(c *Ctx) Token                { return Token{v: l.w} }
+func (l *OptLock) ReleaseEx(c *Ctx, t Token)             { _ = t }
+func (l *OptLock) Upgrade(c *Ctx, t Token) (Token, bool) { return t, t.v == l.w }
+func (l *OptLock) CloseWindow(t Token)                   { _ = t }
+func (l *OptLock) BumpVersion()                          { l.w++ }
 
 // Recycler mirrors the type-stable node recycler.
 type Recycler struct{ slot any }

@@ -68,9 +68,14 @@ func goodUpgrade(l *locks.OptLock, c *locks.Ctx) {
 	if !ok {
 		return
 	}
-	if l.Upgrade(c, &tok) {
+	if tok, ok = l.Upgrade(c, tok); ok {
 		l.ReleaseEx(c, tok)
 	}
+}
+
+// goodReturnedUpgrade hands both results to the caller.
+func goodReturnedUpgrade(l *locks.OptLock, c *locks.Ctx, tok locks.Token) (locks.Token, bool) {
+	return l.Upgrade(c, tok)
 }
 
 func badBareAcquire(l *locks.OptLock, c *locks.Ctx) {
@@ -139,6 +144,26 @@ func badUncheckedUpgrade(l *locks.OptLock, c *locks.Ctx) {
 	if !ok {
 		return
 	}
-	l.Upgrade(c, &tok) // want "Upgrade result must be branched on"
+	l.Upgrade(c, tok) // want "Upgrade result must be branched on"
+	l.ReleaseEx(c, tok)
+}
+
+func badBlankUpgradeFlag(l *locks.OptLock, c *locks.Ctx) {
+	tok, ok := l.AcquireSh(c)
+	if !ok {
+		return
+	}
+	tok, _ = l.Upgrade(c, tok) // want "Upgrade result must be branched on"
+	l.ReleaseEx(c, tok)
+}
+
+// badStaleUpgradeFlag reuses AcquireSh's flag variable: it was branched
+// on once, but not after the upgrade wrote it.
+func badStaleUpgradeFlag(l *locks.OptLock, c *locks.Ctx) {
+	tok, ok := l.AcquireSh(c)
+	if !ok {
+		return
+	}
+	tok, ok = l.Upgrade(c, tok) // want "Upgrade result must be branched on"
 	l.ReleaseEx(c, tok)
 }

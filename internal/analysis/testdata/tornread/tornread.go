@@ -170,7 +170,7 @@ func goodUpgrade(n *node, c *locks.Ctx) []int {
 		return nil
 	}
 	cnt := n.numChildren
-	if !n.lock.Upgrade(c, &tok) {
+	if tok, ok = n.lock.Upgrade(c, tok); !ok {
 		return nil
 	}
 	buf := make([]int, cnt)

@@ -168,7 +168,7 @@ func (a *fa) lockOp(call *ast.CallExpr, s *state) ([]absval, bool) {
 	case "ReleaseSh":
 		return []absval{{kind: vValidateOK, tok: owner}}, true
 	case "Upgrade":
-		return []absval{{kind: vUpgradeOK, tok: owner}}, true
+		return []absval{{tok: owner}, {kind: vUpgradeOK, tok: owner}}, true
 	case "ReleaseEx":
 		a.setRisk(s, owner, rShared)
 		return []absval{{}}, true

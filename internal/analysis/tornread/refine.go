@@ -40,7 +40,9 @@ func (a *fa) refine(e ast.Expr, truth bool, s *state) {
 			a.refineBool(p, truth, s)
 		}
 	case *ast.CallExpr:
-		// Direct use: `if n.lock.Upgrade(c, &tok) { ... }`.
+		// Direct use: `if !n.lock.ReleaseSh(c, tok) { ... }`. Upgrade's
+		// flag is always a named boolean (`if tok, ok = n.lock.Upgrade(c,
+		// tok); ok`) and takes the refineBool path.
 		a.refineLockCall(e, truth, s)
 	}
 }
@@ -65,26 +67,14 @@ func (a *fa) refineBool(path string, truth bool, s *state) {
 
 func (a *fa) refineLockCall(call *ast.CallExpr, truth bool, s *state) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !lockMethods[sel.Sel.Name] || !truth {
+	if !ok || sel.Sel.Name != "ReleaseSh" || !truth {
 		return
 	}
 	fn := analysis.CalleeFunc(a.e.pass.Info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "locks" {
 		return
 	}
-	owner := ""
-	if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-		owner = pathOf(inner.X)
-	} else {
-		owner = pathOf(sel.X)
-	}
-	switch sel.Sel.Name {
-	case "ReleaseSh":
-		a.validateAll(s)
-	case "Upgrade":
-		a.validateAll(s)
-		a.ownerTrusted(owner, s)
-	}
+	a.validateAll(s)
 }
 
 // ownerAcquired marks a node as optimistically held: dereference is

@@ -133,7 +133,7 @@ func (t *Tree) compressPath(c *locks.Ctx, pn *node, pb byte, n *node) (fn, fc *n
 	if !ok {
 		return nil, nil
 	}
-	if !child.lock.Upgrade(c, &ctok) {
+	if ctok, ok = child.lock.Upgrade(c, ctok); !ok {
 		return nil, nil
 	}
 	// New prefix: n's prefix + the branch byte + child's prefix. The

@@ -69,7 +69,7 @@ first:
 				}
 				goto retry
 			}
-			if n.lock.Upgrade(c, &tok) {
+			if tok, ok = n.lock.Upgrade(c, tok); ok {
 				r.l.value = v
 				n.lock.ReleaseEx(c, tok)
 				return true
@@ -244,10 +244,10 @@ first:
 			// Prefix split: replace n (in pn's slot pb) with a new
 			// Node4 branching between n's trimmed copy and the new
 			// leaf. The root has no prefix, so pn exists.
-			if !pn.lock.Upgrade(c, &ptok) {
+			if ptok, ok = pn.lock.Upgrade(c, ptok); !ok {
 				goto retry
 			}
-			if !n.lock.Upgrade(c, &tok) {
+			if tok, ok = n.lock.Upgrade(c, tok); !ok {
 				pn.lock.ReleaseEx(c, ptok)
 				goto retry
 			}
@@ -279,10 +279,10 @@ first:
 			if n.full() {
 				// Grow n into the next kind; needs the parent to swing
 				// its slot. The root (Node256) is never full.
-				if !pn.lock.Upgrade(c, &ptok) {
+				if ptok, ok = pn.lock.Upgrade(c, ptok); !ok {
 					goto retry
 				}
-				if !n.lock.Upgrade(c, &tok) {
+				if tok, ok = n.lock.Upgrade(c, tok); !ok {
 					pn.lock.ReleaseEx(c, ptok)
 					goto retry
 				}
@@ -297,7 +297,7 @@ first:
 				t.size.Add(1)
 				return true
 			}
-			if !n.lock.Upgrade(c, &tok) {
+			if tok, ok = n.lock.Upgrade(c, tok); !ok {
 				goto retry
 			}
 			n.addChild(b, ref{l: t.newLeaf(c, k, v)})
@@ -308,7 +308,7 @@ first:
 		if r.l != nil {
 			if r.l.key == k {
 				// Upsert of an existing key.
-				if !n.lock.Upgrade(c, &tok) {
+				if tok, ok = n.lock.Upgrade(c, tok); !ok {
 					goto retry
 				}
 				r.l.value = v
@@ -317,7 +317,7 @@ first:
 			}
 			// Lazy-expansion split: both keys share the path to pos;
 			// branch them at their first diverging byte.
-			if !n.lock.Upgrade(c, &tok) {
+			if tok, ok = n.lock.Upgrade(c, tok); !ok {
 				goto retry
 			}
 			nn := t.lazySplit(c, r.l, k, v, pos)
@@ -513,16 +513,18 @@ first:
 				return false
 			}
 			if t.scheme.Optimistic {
-				if !n.lock.Upgrade(c, &tok) {
+				if tok, ok = n.lock.Upgrade(c, tok); !ok {
 					goto retry
 				}
 				l := r.l
 				n.removeChild(b)
 				t.size.Add(-1)
 				var fn, fc *node
-				if pn != nil && shrinkWorthy(n.kind, n.numChildren) && pn.lock.Upgrade(c, &ptok) {
-					fn, fc = t.shrinkLocked(c, pn, pb, n)
-					pn.lock.ReleaseEx(c, ptok)
+				if pn != nil && shrinkWorthy(n.kind, n.numChildren) {
+					if ptok, ok = pn.lock.Upgrade(c, ptok); ok {
+						fn, fc = t.shrinkLocked(c, pn, pb, n)
+						pn.lock.ReleaseEx(c, ptok)
+					}
 				}
 				n.lock.ReleaseEx(c, tok)
 				// All locks are dropped: recycle the removed leaf and

@@ -140,3 +140,76 @@ func TestScanAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestWriteAllocs pins the write alloc budget at zero in steady state.
+// The B+-tree takes exclusive locks directly (no Upgrade), so its tokens
+// never had a reason to leave the stack; the Delete + Insert case
+// removes and restores a run of three nodes' worth of keys, so the
+// leaves its merges free and its splits take come from the Recycler.
+func TestWriteAllocs(t *testing.T) {
+	for _, name := range []string{"OptiQL", "OptLock", "MCS-RW"} {
+		t.Run(name, func(t *testing.T) {
+			scheme := locks.MustByName(name)
+			indextest.SkipIfOptimisticRace(t, scheme)
+			tr, err := New(Config{Scheme: scheme, NodeSize: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := core.NewPool(16)
+			c := locks.NewCtx(pool, 8)
+			defer c.Close()
+			const keys = 10000
+			for k := uint64(0); k < keys; k++ {
+				tr.Insert(c, k, k*3)
+			}
+			run := 3 * uint64(tr.Fanout())
+			before := tr.Shape().Leaves
+			for d := uint64(0); d < run; d++ {
+				tr.Delete(c, d)
+			}
+			if after := tr.Shape().Leaves; after >= before {
+				t.Fatalf("deleting a run of %d keys left %d leaves of %d: the Delete + Insert case below would not reach the Recycler", run, after, before)
+			}
+			for d := uint64(0); d < run; d++ {
+				tr.Insert(c, d, d*3)
+			}
+			k := uint64(0)
+			cases := []struct {
+				name string
+				op   func()
+			}{
+				{"Update", func() {
+					if !tr.Update(c, k, k+1) {
+						t.Fatalf("Update(%d) missed", k)
+					}
+				}},
+				{"upsert Insert", func() {
+					if tr.Insert(c, k, k+2) {
+						t.Fatalf("Insert(%d) of an existing key reported a new key", k)
+					}
+				}},
+				{"Delete + Insert", func() {
+					for d := k; d < k+run; d++ {
+						if !tr.Delete(c, d) {
+							t.Fatalf("Delete(%d) missed", d)
+						}
+					}
+					for d := k; d < k+run; d++ {
+						if !tr.Insert(c, d, d*3) {
+							t.Fatalf("Insert(%d) after Delete reported an existing key", d)
+						}
+					}
+				}},
+			}
+			for _, tc := range cases {
+				allocs := testing.AllocsPerRun(1000, func() {
+					tc.op()
+					k = (k + 7919) % (keys - run)
+				})
+				if allocs != 0 {
+					t.Errorf("%s allocates %.1f objects per op, want 0", tc.name, allocs)
+				}
+			}
+		})
+	}
+}

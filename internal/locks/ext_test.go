@@ -93,9 +93,4 @@ func TestBackoffOptimisticSemantics(t *testing.T) {
 	if l.ReleaseSh(c, tok) {
 		t.Fatal("stale validation passed")
 	}
-	tok2, _ := l.AcquireSh(c)
-	if !l.Upgrade(c, &tok2) {
-		t.Fatal("upgrade failed on quiescent lock")
-	}
-	l.ReleaseEx(c, tok2)
 }

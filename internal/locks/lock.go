@@ -27,8 +27,10 @@ var ctxSeq atomic.Uint64
 
 // Token carries per-acquisition state between an acquire and its
 // matching release: the version snapshot for optimistic readers, and
-// the queue node for queue-based locks. It is a value type; callers
-// keep it on the stack.
+// the queue node for queue-based locks. It is a value type, and it
+// stays on the caller's stack because no Lock method takes its address:
+// a *Token passed through the interface would escape to the heap at
+// every call site (scripts/escape_check.sh holds that line).
 type Token struct {
 	// Version is the lock-word snapshot for optimistic shared
 	// acquisitions, used for validation at ReleaseSh.
@@ -62,10 +64,10 @@ type Lock interface {
 	// ReleaseEx releases an exclusive acquisition.
 	ReleaseEx(c *Ctx, t Token)
 	// Upgrade attempts to convert a shared acquisition into an
-	// exclusive one without blocking. On success the token is updated
-	// for use with ReleaseEx. Locks that do not support upgrading
-	// return false.
-	Upgrade(c *Ctx, t *Token) bool
+	// exclusive one without blocking. On success the returned token is
+	// the one to pass to ReleaseEx; on failure t comes back unchanged.
+	// Locks that do not support upgrading return (t, false).
+	Upgrade(c *Ctx, t Token) (Token, bool)
 	// CloseWindow closes the opportunistic read window on locks that
 	// defer closing it (the AOR variant); a no-op elsewhere. Callers
 	// invoke it after read-only preparation and before the first

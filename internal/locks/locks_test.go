@@ -143,45 +143,66 @@ func TestReadersObserveConsistentState(t *testing.T) {
 	}
 }
 
-// TestUpgrade exercises the upgrade path on the schemes that support it.
+// TestUpgrade pins Upgrade's contract on every scheme: the token goes
+// in and comes out by value. A failed upgrade returns its input bit for
+// bit and leaves the Ctx's queue-node reserve as it found it (OptiQL
+// takes a qnode before its CAS and must put it back); a successful one
+// returns the token ReleaseEx accepts; schemes that cannot upgrade
+// return (t, false).
 func TestUpgrade(t *testing.T) {
-	for _, name := range []string{"OptLock", "OptiQL", "OptiQL-NOR", "OptiQL-AOR"} {
+	for _, name := range ExtendedNames() {
 		t.Run(name, func(t *testing.T) {
 			pool := core.NewPool(8)
 			c := newCtx(t, pool)
-			l := MustByName(name).NewLock()
+			scheme := MustByName(name)
+			l := scheme.NewLock()
+			type reserve struct{ q, rw int }
+			held := func() reserve { return reserve{len(c.q), len(c.rw)} }
+			mustFail := func(what string, in Token) {
+				t.Helper()
+				before := held()
+				out, ok := l.Upgrade(c, in)
+				if ok {
+					t.Fatalf("%s: upgrade succeeded", what)
+				}
+				if out != in {
+					t.Fatalf("%s: failed upgrade changed the token: %+v -> %+v", what, in, out)
+				}
+				if got := held(); got != before {
+					t.Fatalf("%s: failed upgrade moved the Ctx reserve: %+v -> %+v", what, before, got)
+				}
+			}
 
+			if !scheme.Optimistic {
+				mustFail("pessimistic scheme", Token{Version: 0x1234})
+				return
+			}
+
+			idle := held()
 			tok, ok := l.AcquireSh(c)
 			if !ok {
 				t.Fatal("read rejected on fresh lock")
 			}
-			if !l.Upgrade(c, &tok) {
+			up, ok := l.Upgrade(c, tok)
+			if !ok {
 				t.Fatal("upgrade failed on quiescent lock")
 			}
-			// A fresh read must now be rejected or at least fail to
-			// upgrade (the lock is held).
-			tok2, ok2 := l.AcquireSh(c)
-			if ok2 && l.Upgrade(c, &tok2) {
-				t.Fatal("second upgrade succeeded while lock held")
+			// The lock is held: a snapshot taken now, admitted or not,
+			// must not upgrade.
+			locked, _ := l.AcquireSh(c)
+			mustFail("snapshot of a held lock", locked)
+			l.CloseWindow(up)
+			l.ReleaseEx(c, up)
+			if got := held(); got != idle {
+				t.Fatalf("upgrade + ReleaseEx moved the Ctx reserve: %+v -> %+v", idle, got)
 			}
-			l.CloseWindow(tok)
-			l.ReleaseEx(c, tok)
-
-			// After release, a stale token must not upgrade.
-			if l.Upgrade(c, &tok2) {
-				t.Fatal("stale token upgraded")
-			}
+			// Both snapshots predate that release and are stale now.
+			mustFail("stale snapshot", tok)
+			mustFail("stale locked snapshot", locked)
+			// The lock must still work afterwards.
+			w := l.AcquireEx(c)
+			l.ReleaseEx(c, w)
 		})
-	}
-	// Pessimistic locks report no upgrade support.
-	for _, name := range []string{"pthread", "MCS-RW", "TTS", "MCS", "CLH"} {
-		pool := core.NewPool(8)
-		c := newCtx(t, pool)
-		l := MustByName(name).NewLock()
-		var tok Token
-		if l.Upgrade(c, &tok) {
-			t.Fatalf("%s claims upgrade support", name)
-		}
 	}
 }
 
@@ -352,7 +373,7 @@ func TestOptLockUpgradeProperty(t *testing.T) {
 			w := l.AcquireEx(c)
 			l.ReleaseEx(c, w)
 		}
-		got := l.Upgrade(c, &tok)
+		tok, got := l.Upgrade(c, tok)
 		if got {
 			l.ReleaseEx(c, tok)
 		}

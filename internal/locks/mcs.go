@@ -63,7 +63,7 @@ func (l *MCS) ReleaseEx(c *Ctx, t Token) {
 }
 
 // Upgrade is unsupported.
-func (l *MCS) Upgrade(_ *Ctx, _ *Token) bool { return false }
+func (l *MCS) Upgrade(_ *Ctx, t Token) (Token, bool) { return t, false }
 
 // CloseWindow is a no-op.
 func (l *MCS) CloseWindow(Token) {}

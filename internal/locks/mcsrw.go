@@ -215,7 +215,7 @@ func (l *MCSRW) structuralRelease(n *rwNode) int {
 
 // Upgrade is unsupported: pessimistic index protocols take the
 // exclusive lock directly.
-func (l *MCSRW) Upgrade(_ *Ctx, _ *Token) bool { return false }
+func (l *MCSRW) Upgrade(_ *Ctx, t Token) (Token, bool) { return t, false }
 
 // CloseWindow is a no-op.
 func (l *MCSRW) CloseWindow(Token) {}

@@ -55,14 +55,14 @@ func TestOptLockCounters(t *testing.T) {
 
 	// One successful upgrade, then one failed (stale snapshot).
 	tok, _ = l.AcquireSh(c)
-	if !l.Upgrade(c, &tok) {
+	if tok, ok = l.Upgrade(c, tok); !ok {
 		t.Fatal("upgrade from clean snapshot must succeed")
 	}
 	l.ReleaseEx(c, tok)
 	tok, _ = l.AcquireSh(c)
 	w = l.AcquireEx(c) // +1 ex_acquire_free
 	l.ReleaseEx(c, w)
-	if l.Upgrade(c, &tok) {
+	if _, ok = l.Upgrade(c, tok); ok {
 		t.Fatal("upgrade from stale snapshot must fail")
 	}
 
@@ -160,8 +160,8 @@ func TestOptiQLUpgradeCounters(t *testing.T) {
 	c := newObsCtx(t, pool, reg)
 	l := NewOptiQL()
 
-	tok, _ := l.AcquireSh(c)
-	if !l.Upgrade(c, &tok) {
+	tok, ok := l.AcquireSh(c)
+	if tok, ok = l.Upgrade(c, tok); !ok {
 		t.Fatal("upgrade from clean snapshot must succeed")
 	}
 	l.ReleaseEx(c, tok)
@@ -169,7 +169,7 @@ func TestOptiQLUpgradeCounters(t *testing.T) {
 	tok, _ = l.AcquireSh(c)
 	w := l.AcquireEx(c)
 	l.ReleaseEx(c, w)
-	if l.Upgrade(c, &tok) {
+	if _, ok = l.Upgrade(c, tok); ok {
 		t.Fatal("upgrade from stale snapshot must fail")
 	}
 

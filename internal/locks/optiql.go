@@ -183,7 +183,7 @@ func (l *OptiQLLock) ReleaseShQueued(c *Ctx, t Token) {
 // (Section 6.2, added for ART).
 //
 //optiql:noalloc
-func (l *OptiQLLock) Upgrade(c *Ctx, t *Token) bool {
+func (l *OptiQLLock) Upgrade(c *Ctx, t Token) (Token, bool) {
 	q := c.getQ()
 	if !l.l.Upgrade(t.Version, q) {
 		c.putQ(q)
@@ -193,11 +193,11 @@ func (l *OptiQLLock) Upgrade(c *Ctx, t *Token) bool {
 			tb.Event(trace.KindLockUpgradeFail, 0, id)
 			tb.NoteNode(id)
 		}
-		return false
+		return t, false
 	}
 	t.q = q
 	c.Counters().Inc(obs.EvUpgradeOK)
-	return true
+	return t, true
 }
 
 // CloseWindow closes the deferred opportunistic window of the AOR

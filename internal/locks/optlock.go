@@ -99,10 +99,10 @@ func (l *OptLock) ReleaseEx(_ *Ctx, _ Token) {
 // from the snapshot to the locked word, the standard OLC "upgrade".
 //
 //optiql:noalloc
-func (l *OptLock) Upgrade(c *Ctx, t *Token) bool {
+func (l *OptLock) Upgrade(c *Ctx, t Token) (Token, bool) {
 	if t.Version&optLockedBit == 0 && l.word.CompareAndSwap(t.Version, t.Version|optLockedBit) {
 		c.Counters().Inc(obs.EvUpgradeOK)
-		return true
+		return t, true
 	}
 	c.Counters().Inc(obs.EvUpgradeFail)
 	if tb := c.tr; tb.Sample() {
@@ -110,7 +110,7 @@ func (l *OptLock) Upgrade(c *Ctx, t *Token) bool {
 		tb.Event(trace.KindLockUpgradeFail, 0, id)
 		tb.NoteNode(id)
 	}
-	return false
+	return t, false
 }
 
 // CloseWindow is a no-op: centralized optimistic locks have no

@@ -40,7 +40,7 @@ func (l *Pthread) ReleaseEx(_ *Ctx, _ Token) {
 }
 
 // Upgrade is unsupported (pthread rwlocks cannot upgrade atomically).
-func (l *Pthread) Upgrade(_ *Ctx, _ *Token) bool { return false }
+func (l *Pthread) Upgrade(_ *Ctx, t Token) (Token, bool) { return t, false }
 
 // CloseWindow is a no-op.
 func (l *Pthread) CloseWindow(Token) {}

@@ -44,7 +44,7 @@ func (l *TTS) ReleaseEx(_ *Ctx, _ Token) {
 }
 
 // Upgrade is unsupported.
-func (l *TTS) Upgrade(_ *Ctx, _ *Token) bool { return false }
+func (l *TTS) Upgrade(_ *Ctx, t Token) (Token, bool) { return t, false }
 
 // CloseWindow is a no-op.
 func (l *TTS) CloseWindow(Token) {}

@@ -95,3 +95,32 @@ func TestEncodeDecodeAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestReadFrameAllocs pins the client-side frame reader: once buf has
+// grown to the stream's frame size, reading a frame (header included)
+// must not allocate.
+func TestReadFrameAllocs(t *testing.T) {
+	req := Get(42)
+	frame, err := AppendRequest(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(frame)
+	br := bufio.NewReader(rd)
+	var buf []byte
+	// Warm buf up to the frame size before measuring.
+	if _, err := ReadFrame(br, &buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		rd.Seek(0, 0)
+		br.Reset(rd)
+		payload, err := ReadFrame(br, &buf)
+		if err != nil || len(payload) != len(frame)-4 {
+			t.Fatalf("ReadFrame = %d bytes, %v", len(payload), err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ReadFrame allocates %.1f objects per frame, want 0", allocs)
+	}
+}

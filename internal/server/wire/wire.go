@@ -506,19 +506,17 @@ func ParseResponse(payload []byte, req *Request) (Response, error) {
 //
 //optiql:noalloc
 func ReadFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	// The header is staged in buf too, for the reason ReadFrameBuf
+	// gives: a local array escapes through io.ReadFull.
+	hdr := grow(buf, 4)
+	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, errFrameLen(n)
 	}
-	if cap(*buf) < int(n) {
-		//optiqlvet:ignore noalloc grow-only buffer: reallocates only while warming up to the connection's peak frame size
-		*buf = make([]byte, n)
-	}
-	payload := (*buf)[:n]
+	payload := grow(buf, int(n))
 	if _, err := io.ReadFull(br, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -526,6 +524,18 @@ func ReadFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// grow returns the first n bytes of *buf, reallocating it if it is too
+// small; the old contents are not kept.
+//
+//optiql:noalloc
+func grow(buf *[]byte, n int) []byte {
+	if cap(*buf) < n {
+		//optiqlvet:ignore noalloc grow-only buffer: reallocates only while warming up to the connection's peak frame size
+		*buf = make([]byte, n)
+	}
+	return (*buf)[:n]
 }
 
 // frameRetain is the largest read buffer a FrameBuf keeps to itself

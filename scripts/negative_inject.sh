@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Negative injection for the interprocedural analyzers: plant one
-# torn-read hazard and one WAL-ordering hazard into scratch copies of
-# the module and assert that tornread and walorder each catch their
-# plant end-to-end through `go vet -vettool`. A gate that cannot fail
-# is not a gate; this proves the wired-up binary still detects the
-# exact hazard classes it exists for (mirrors PR 5's verification).
+# Negative injection for the analyzers: plant one torn-read hazard, one
+# WAL-ordering hazard and two upgrade-protocol hazards into scratch
+# copies of the module and assert that tornread, walorder, shcheck and
+# expair each catch their plant end-to-end through `go vet -vettool`.
+# A gate that cannot fail is not a gate; this proves the wired-up
+# binary still detects the exact hazard classes it exists for (mirrors
+# PR 5's verification).
 #
 # Usage: scripts/negative_inject.sh  (from the module root)
 set -euo pipefail
@@ -84,4 +85,21 @@ plant "$scratch/wal/internal/server/wal.go" \
 expect_catch "$scratch/wal" ./internal/server/ walorder
 echo "   caught"
 
-echo "negative injection: both plants caught"
+echo "== plant 3: unchecked upgrade, and an upgraded token never released (shcheck, expair)"
+copy_module "$scratch/upg"
+# Throw Upgrade's flag away in Update: the value write proceeds whether
+# or not the lock was taken.
+plant "$scratch/upg/internal/art/write.go" \
+	'if tok, ok = n.lock.Upgrade(c, tok); ok {' \
+	'if tok, _ = n.lock.Upgrade(c, tok); true {'
+# Drop the release of the child compressPath upgraded: the node goes to
+# the recycler still locked.
+plant "$scratch/upg/internal/art/shrink.go" \
+	'	child.lock.ReleaseEx(c, ctok)
+' \
+	''
+expect_catch "$scratch/upg" ./internal/art/ shcheck
+expect_catch "$scratch/upg" ./internal/art/ expair
+echo "   caught"
+
+echo "negative injection: all plants caught"
