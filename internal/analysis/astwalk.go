@@ -70,11 +70,29 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
+// IsLockPkg reports whether pkg is the lock-protocol package. It is
+// matched by *name* (not path), so calls into the stub package under
+// testdata take the same path through the analyzers as calls into
+// optiql/internal/locks.
+func IsLockPkg(pkg *types.Package) bool {
+	return pkg != nil && pkg.Name() == "locks"
+}
+
+// LockCall is the one recogniser of the lock protocol: it returns the
+// name of the locks-package function or method the call invokes
+// ("AcquireSh", "Upgrade", "BumpOnReuse", ...), or "" for any other
+// call.
+func LockCall(info *types.Info, call *ast.CallExpr) string {
+	fn := CalleeFunc(info, call)
+	if fn == nil || !IsLockPkg(fn.Pkg()) {
+		return ""
+	}
+	return fn.Name()
+}
+
 // IsPkgFunc reports whether the call invokes a function or method
 // named one of names that is declared in a package whose *name* (not
-// path) is pkgName. Matching by package name keeps the analyzers
-// equally applicable to the real optiql/internal/locks package and to
-// the small stub packages under testdata.
+// path) is pkgName, as LockCall does for the lock protocol.
 func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgName string, names ...string) bool {
 	fn := CalleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != pkgName {

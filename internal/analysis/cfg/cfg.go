@@ -1,19 +1,22 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies and solves forward dataflow problems on them — the
-// stdlib-only substrate under the interprocedural analyzers (tornread,
-// walorder), standing in for golang.org/x/tools/go/cfg plus a worklist
-// solver.
+// stdlib-only substrate under every flow-sensitive analyzer (tornread,
+// walorder, expair, and shcheck's restart query), standing in for
+// golang.org/x/tools/go/cfg plus a worklist solver.
 //
 // The graph is a classic basic-block CFG: straight-line statements
 // accumulate into a block until a branch point, and every control
 // construct (if/for/range/switch/type-switch/select, goto and labeled
-// break/continue, defer, return) lowers to explicit edges. Conditional
-// blocks expose their condition expression so lattice clients can
-// refine state along the true/false out-edges (bounds checks, nil
-// checks, lock-validation results). Deferred calls are modeled as a
-// LIFO chain that every return routes through before the exit block —
-// a may-execute over-approximation (registration conditions are not
-// tracked), which is the right direction for the analyses built here.
+// break/continue, defer, return) lowers to explicit edges. Branch
+// statements stay in their block, so clients see where a path jumps (a
+// goto and its label), and a block whose edge re-enters a loop names
+// that loop in Back. Conditional blocks expose their condition
+// expression so lattice clients can refine state along the true/false
+// out-edges (bounds checks, nil checks, lock-validation results).
+// Deferred calls are modeled as a LIFO chain that every return routes
+// through before the exit block — a may-execute over-approximation
+// (registration conditions are not tracked), which is the right
+// direction for the analyses built here.
 package cfg
 
 import (
@@ -22,14 +25,19 @@ import (
 )
 
 // Block is one basic block. Stmts holds the straight-line statements
-// (and for range/switch heads, the head node itself) in execution
-// order. A block with Cond != nil has exactly two successors:
-// Succs[0] on the condition's true edge, Succs[1] on false.
+// (for range/switch heads, the head node itself; a branch statement
+// last) in execution order. A block with Cond != nil has exactly two
+// successors: Succs[0] on the condition's true edge, Succs[1] on false.
 type Block struct {
 	Index int
 	Stmts []ast.Node
 	Cond  ast.Expr
 	Succs []*Block
+	// Back is set when the block's one out-edge is a loop back edge:
+	// the end of a loop body or a continue (Back is the *ast.ForStmt or
+	// *ast.RangeStmt continued), or a goto to a label above it (Back is
+	// the *ast.LabeledStmt). Break edges and forward gotos leave it nil.
+	Back ast.Stmt
 	// Live is set by Build's reachability pass; dead blocks (after an
 	// unconditional return/goto) keep their statements but are skipped
 	// by Solve.
@@ -52,17 +60,21 @@ type builder struct {
 	g      *Graph
 	cur    *Block
 	labels map[string]*labelTarget
-	// break/continue targets of the innermost enclosing loops/switches.
+	// break/continue targets of the innermost enclosing loops/switches;
+	// loops[i] is the loop statement continues[i] re-enters.
 	breaks    []*Block
 	continues []*Block
+	loops     []ast.Stmt
 	// gotos seen before their label: patched at the end.
 	pending []pendingGoto
 }
 
 type labelTarget struct {
-	block *Block // label head (target of goto/continue-to-label)
-	brk   *Block // break target when the label names a loop/switch
-	cont  *Block // continue target when the label names a loop
+	stmt  *ast.LabeledStmt
+	block *Block   // label head (target of goto)
+	brk   *Block   // break target when the label names a loop/switch
+	cont  *Block   // continue target when the label names a loop
+	loop  ast.Stmt // the loop cont re-enters
 }
 
 type pendingGoto struct {
@@ -84,7 +96,7 @@ func Build(body *ast.BlockStmt) *Graph {
 	b.routeReturn()
 	// Patch forward gotos.
 	for _, pg := range b.pending {
-		if lt, ok := b.labels[pg.label]; ok && lt.block != nil {
+		if lt, ok := b.labels[pg.label]; ok {
 			pg.from.Succs = append(pg.from.Succs, lt.block)
 		}
 	}
@@ -108,6 +120,12 @@ func (b *builder) jump(to *Block) {
 		b.cur.Succs = append(b.cur.Succs, to)
 	}
 	b.cur = b.newBlock("after-jump")
+}
+
+// backJump is a jump along a loop back edge into loop.
+func (b *builder) backJump(to *Block, loop ast.Stmt) {
+	b.cur.Back = loop
+	b.jump(to)
 }
 
 // routeReturn ends the current block toward Exit (via the defer chain,
@@ -179,7 +197,7 @@ func (b *builder) labeledStmt(s *ast.LabeledStmt) {
 	head := b.newBlock("label-" + s.Label.Name)
 	b.cur.Succs = append(b.cur.Succs, head)
 	b.cur = head
-	lt := &labelTarget{block: head}
+	lt := &labelTarget{stmt: s, block: head}
 	b.labels[s.Label.Name] = lt
 	switch inner := s.Stmt.(type) {
 	case *ast.ForStmt:
@@ -198,10 +216,12 @@ func (b *builder) labeledStmt(s *ast.LabeledStmt) {
 }
 
 func (b *builder) branchStmt(s *ast.BranchStmt) {
+	b.cur.Stmts = append(b.cur.Stmts, s)
 	switch s.Tok {
 	case token.GOTO:
-		if lt, ok := b.labels[s.Label.Name]; ok && lt.block != nil {
-			b.jump(lt.block)
+		if lt, ok := b.labels[s.Label.Name]; ok {
+			// The label is already behind us: the goto re-runs it.
+			b.backJump(lt.block, lt.stmt)
 		} else {
 			// Forward goto: patch once the label is seen.
 			from := b.cur
@@ -223,12 +243,12 @@ func (b *builder) branchStmt(s *ast.BranchStmt) {
 	case token.CONTINUE:
 		if s.Label != nil {
 			if lt, ok := b.labels[s.Label.Name]; ok && lt.cont != nil {
-				b.jump(lt.cont)
+				b.backJump(lt.cont, lt.loop)
 				return
 			}
 		}
 		if n := len(b.continues); n > 0 {
-			b.jump(b.continues[n-1])
+			b.backJump(b.continues[n-1], b.loops[n-1])
 		} else {
 			b.jump(nil)
 		}
@@ -256,16 +276,15 @@ func (b *builder) forStmt(s *ast.ForStmt, label string) {
 		head.Succs = append(head.Succs, body)
 	}
 	if label != "" {
-		b.labels[label].brk = done
-		b.labels[label].cont = post
+		lt := b.labels[label]
+		lt.brk, lt.cont, lt.loop = done, post, s
 	}
-	b.breaks = append(b.breaks, done)
-	b.continues = append(b.continues, post)
+	b.pushLoop(done, post, s)
 	b.cur = body
 	b.stmt(s.Body)
+	b.cur.Back = s
 	b.cur.Succs = append(b.cur.Succs, post)
-	b.breaks = b.breaks[:len(b.breaks)-1]
-	b.continues = b.continues[:len(b.continues)-1]
+	b.popLoop()
 	b.cur = post
 	if s.Post != nil {
 		b.stmt(s.Post)
@@ -284,17 +303,28 @@ func (b *builder) rangeStmt(s *ast.RangeStmt, label string) {
 	head.Stmts = append(head.Stmts, s)
 	head.Succs = append(head.Succs, body, done)
 	if label != "" {
-		b.labels[label].brk = done
-		b.labels[label].cont = head
+		lt := b.labels[label]
+		lt.brk, lt.cont, lt.loop = done, head, s
 	}
-	b.breaks = append(b.breaks, done)
-	b.continues = append(b.continues, head)
+	b.pushLoop(done, head, s)
 	b.cur = body
 	b.stmt(s.Body)
+	b.cur.Back = s
 	b.cur.Succs = append(b.cur.Succs, head)
+	b.popLoop()
+	b.cur = done
+}
+
+func (b *builder) pushLoop(brk, cont *Block, loop ast.Stmt) {
+	b.breaks = append(b.breaks, brk)
+	b.continues = append(b.continues, cont)
+	b.loops = append(b.loops, loop)
+}
+
+func (b *builder) popLoop() {
 	b.breaks = b.breaks[:len(b.breaks)-1]
 	b.continues = b.continues[:len(b.continues)-1]
-	b.cur = done
+	b.loops = b.loops[:len(b.loops)-1]
 }
 
 func (b *builder) switchStmt(s *ast.SwitchStmt, label string) {

@@ -391,3 +391,168 @@ func TestTypeSwitchShape(t *testing.T) {
 		}
 	}
 }
+
+// blockOf returns the live block holding the statement that prints as
+// src.
+func blockOf(t *testing.T, fset *token.FileSet, g *Graph, src string) *Block {
+	t.Helper()
+	for _, b := range g.Blocks {
+		for _, n := range b.Stmts {
+			if b.Live && printNode(fset, n) == src {
+				return b
+			}
+		}
+	}
+	t.Fatalf("no live block holds %q:\n%s", src, render(fset, g))
+	return nil
+}
+
+func TestGotoVisible(t *testing.T) {
+	fset, g := buildFunc(t, `
+	goto first
+retry:
+	again()
+first:
+	if try() {
+		goto retry
+	}`)
+	for _, c := range []struct {
+		src, label string
+		back       bool
+	}{{"goto first", "first", false}, {"goto retry", "retry", true}} {
+		b := blockOf(t, fset, g, c.src)
+		br, ok := b.Stmts[len(b.Stmts)-1].(*ast.BranchStmt)
+		if !ok || br.Tok != token.GOTO || br.Label.Name != c.label {
+			t.Fatalf("%s: the goto must end its block with its label:\n%s", c.src, render(fset, g))
+		}
+		if len(b.Succs) != 1 || b.Succs[0].kind != "label-"+c.label {
+			t.Fatalf("%s: the goto's one edge must enter its label:\n%s", c.src, render(fset, g))
+		}
+		if ls, _ := b.Back.(*ast.LabeledStmt); (b.Back != nil) != c.back || (c.back && (ls == nil || ls.Label.Name != c.label)) {
+			t.Fatalf("%s: back edge = %v, want %v:\n%s", c.src, b.Back != nil, c.back, render(fset, g))
+		}
+	}
+}
+
+func TestBackEdges(t *testing.T) {
+	fset, g := buildFunc(t, `
+retry:
+	for i := 0; i < n; i++ {
+		a(i)
+	}
+	for _, v := range xs {
+		if skip(v) {
+			continue
+		}
+		b(v)
+	}
+outer:
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if c(i, j) {
+				continue outer
+			}
+			d(j)
+		}
+	}
+	if e() {
+		goto retry
+	}`)
+	for _, c := range []struct {
+		src  string
+		want string // the loop (or label) the block's back edge re-enters
+	}{
+		{"a(i)", "for i := 0; i < n; i++"},
+		{"b(v)", "for _, v := range xs"},
+		{"continue", "for _, v := range xs"},
+		{"continue outer", "for i := 0; i < n; i++"},
+		{"d(j)", "for j := 0; j < n; j++"},
+		{"goto retry", "retry:"},
+	} {
+		b := blockOf(t, fset, g, c.src)
+		if b.Back == nil || !strings.HasPrefix(printNode(fset, b.Back), c.want) {
+			t.Fatalf("%s: want a back edge into %q:\n%s", c.src, c.want, render(fset, g))
+		}
+	}
+	// continue outer re-enters the outer loop, not the inner one.
+	cont := blockOf(t, fset, g, "continue outer")
+	if inner := blockOf(t, fset, g, "d(j)"); cont.Back == inner.Back {
+		t.Fatalf("continue outer must re-enter the outer loop:\n%s", render(fset, g))
+	}
+}
+
+func TestBreakNotBackEdge(t *testing.T) {
+	fset, g := buildFunc(t, `
+	for {
+		if a() {
+			break
+		}
+		switch k() {
+		case 1:
+			break
+		}
+		b()
+	}
+	after()`)
+	breaks, backs := 0, 0
+	for _, blk := range g.Blocks {
+		if !blk.Live {
+			continue
+		}
+		if blk.Back != nil {
+			backs++
+		}
+		for _, n := range blk.Stmts {
+			if br, ok := n.(*ast.BranchStmt); ok && br.Tok == token.BREAK {
+				breaks++
+				if blk.Back != nil {
+					t.Fatalf("a break is not a back edge:\n%s", render(fset, g))
+				}
+			}
+		}
+	}
+	if breaks != 2 || backs != 1 || blockOf(t, fset, g, "b()").Back == nil {
+		t.Fatalf("want 2 breaks and one back edge (the body's end), got %d and %d:\n%s", breaks, backs, render(fset, g))
+	}
+}
+
+// latchProblem's state records whether a path has taken a back edge.
+type latchProblem struct{ transfers, backs int }
+
+func (p *latchProblem) Entry() State                             { return false }
+func (p *latchProblem) Transfer(n ast.Node, s State) State       { p.transfers++; return s }
+func (p *latchProblem) Branch(c ast.Expr, t bool, s State) State { return s }
+func (p *latchProblem) Join(a, b State) State                    { return a.(bool) || b.(bool) }
+func (p *latchProblem) Equal(a, b State) bool                    { return a == b }
+func (p *latchProblem) BackEdge(loop ast.Stmt, s State) State    { p.backs++; return true }
+
+func TestLoopProblemAndReplay(t *testing.T) {
+	fset, g := buildFunc(t, `
+	pre()
+	for i := 0; i < 3; i++ {
+		body(i)
+	}
+	post()`)
+	p := &latchProblem{}
+	in := Solve(g, p)
+	if in[blockOf(t, fset, g, "pre()")].(bool) {
+		t.Fatalf("no back edge precedes the loop:\n%s", render(fset, g))
+	}
+	if !in[blockOf(t, fset, g, "i < 3")].(bool) || !in[blockOf(t, fset, g, "post()")].(bool) {
+		t.Fatalf("the back edge's state must reach the loop head and the exit:\n%s", render(fset, g))
+	}
+	// Replay visits every solved block once: each statement once, each
+	// back edge once.
+	stmts, backs := 0, 0
+	for b := range in {
+		stmts += len(b.Stmts)
+		if b.Back != nil {
+			backs++
+		}
+	}
+	p.transfers, p.backs = 0, 0
+	Replay(g, p, in)
+	if p.transfers != stmts || p.backs != backs || backs != 1 {
+		t.Fatalf("replay: %d transfers and %d back edges, want %d and %d (one back edge)", p.transfers, p.backs, stmts, backs)
+	}
+}

@@ -24,6 +24,15 @@ type Problem interface {
 	Equal(a, b State) bool
 }
 
+// LoopProblem is a Problem that also acts where a path takes a loop
+// back edge (see Block.Back).
+type LoopProblem interface {
+	Problem
+	// BackEdge maps the state leaving a block along its back edge into
+	// loop, before it joins the state at the loop head.
+	BackEdge(loop ast.Stmt, s State) State
+}
+
 // Solve runs the worklist algorithm to a fixpoint and returns each
 // live block's in-state. Blocks unreachable from entry are absent.
 //
@@ -47,10 +56,7 @@ func Solve(g *Graph, p Problem) map[*Block]State {
 		work = work[1:]
 		queued[blk] = false
 
-		out := in[blk]
-		for _, n := range blk.Stmts {
-			out = p.Transfer(n, out)
-		}
+		out := flow(blk, p, in[blk])
 		for i, succ := range blk.Succs {
 			s := out
 			if blk.Cond != nil && len(blk.Succs) == 2 {
@@ -71,4 +77,27 @@ func Solve(g *Graph, p Problem) map[*Block]State {
 		}
 	}
 	return in
+}
+
+// Replay runs every solved block's transfers once more from its
+// fixpoint in-state. Clients that report from Transfer (or BackEdge)
+// turn reporting on between Solve and Replay, so each finding is made
+// once, from the fixpoint.
+func Replay(g *Graph, p Problem, in map[*Block]State) {
+	for _, blk := range g.Blocks {
+		if s, ok := in[blk]; ok {
+			flow(blk, p, s)
+		}
+	}
+}
+
+// flow applies a block's statements, and its back-edge hook, to s.
+func flow(blk *Block, p Problem, s State) State {
+	for _, n := range blk.Stmts {
+		s = p.Transfer(n, s)
+	}
+	if lp, ok := p.(LoopProblem); ok && blk.Back != nil {
+		s = lp.BackEdge(blk.Back, s)
+	}
+	return s
 }

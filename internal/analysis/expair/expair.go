@@ -6,8 +6,8 @@
 // be exclusively released before it enters the recycler, or its next
 // life deadlocks.
 //
-// The analysis is an intraprocedural abstract interpretation over the
-// set of held token variables:
+// The analysis is a forward dataflow problem on the cfg package's
+// graph of each function body, over the set of held token variables:
 //
 //   - `tok := x.AcquireEx(c)` adds tok to the held set; discarding
 //     the token outright is reported immediately (it can never be
@@ -18,22 +18,26 @@
 //     custody and leaves the tracked set (this is how the B+-tree's
 //     pessimistic SMO stack works); CloseWindow and Upgrade uses do
 //     not count as escapes.
-//   - `if tok, ok = x.Upgrade(c, tok); ok` promotes tok to
-//     exclusively-held in the branch where the upgrade succeeded
-//     (shcheck rejects every other way of consuming Upgrade).
+//   - `if tok, ok = x.Upgrade(c, tok); ok` adds tok on the edge where
+//     the upgrade succeeded (shcheck rejects every other way of
+//     consuming Upgrade).
 //
-// Branches are analyzed independently and joined by union (held in
-// any continuing branch counts as held); loop bodies are checked for
-// per-iteration leaks. Soundness gaps: custody transfer is trusted,
-// not verified, and the join is path-insensitive (see DESIGN.md §10).
+// Paths join by union (held on any incoming path counts as held). The
+// set must be empty at every return, goto and panic and at the
+// function's end, and a loop back edge must not carry a token acquired
+// inside that loop (it leaks once per iteration); break and continue
+// are ordinary edges. Soundness gaps: custody transfer is trusted, not
+// verified, and the join is path-insensitive (see DESIGN.md §10).
 package expair
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"optiql/internal/analysis"
+	"optiql/internal/analysis/cfg"
 )
 
 // Analyzer is the expair pass.
@@ -43,10 +47,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-const lockPkgName = "locks"
-
 func run(pass *analysis.Pass) error {
-	if pass.Pkg != nil && pass.Pkg.Name() == lockPkgName {
+	if analysis.IsLockPkg(pass.Pkg) {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -54,12 +56,12 @@ func run(pass *analysis.Pass) error {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					(&checker{pass: pass}).checkFunc(fn.Body)
+					checkFunc(pass, fn.Body)
 				}
 			case *ast.FuncLit:
 				// Each literal is its own scope of custody; nested
 				// literals are reached by the continued traversal.
-				(&checker{pass: pass}).checkFunc(fn.Body)
+				checkFunc(pass, fn.Body)
 			}
 			return true
 		})
@@ -67,280 +69,252 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// state is the abstract value: which token variables are exclusively
-// held, keyed by their types object.
-type state struct {
-	held map[types.Object]token.Pos
+// held is the dataflow state: the exclusively held token variables,
+// each with the position that acquired it. States are never mutated
+// once handed to the solver.
+type held map[types.Object]token.Pos
+
+// upgrade is the token an `if tok, ok = x.Upgrade(c, tok); ok`
+// condition holds on its success edge.
+type upgrade struct {
+	tok     types.Object
+	pos     token.Pos
+	negated bool
 }
 
-func newState() *state { return &state{held: make(map[types.Object]token.Pos)} }
-
-func (s *state) clone() *state {
-	c := newState()
-	for k, v := range s.held {
-		c.held[k] = v
-	}
-	return c
-}
-
-// union folds o's held set into s.
-func (s *state) union(o *state) {
-	for k, v := range o.held {
-		if _, ok := s.held[k]; !ok {
-			s.held[k] = v
-		}
-	}
-}
-
+// checker is the cfg.LoopProblem for one function body.
 type checker struct {
-	pass *analysis.Pass
+	pass     *analysis.Pass
+	upgrades map[ast.Expr]upgrade // keyed by the if's condition
+	// emit turns reporting on for the replay of the fixpoint.
+	emit     bool
+	reported map[token.Pos]bool
 }
 
-func (c *checker) checkFunc(body *ast.BlockStmt) {
-	st := newState()
-	// Fallthrough off the end of the function is an implicit return;
-	// if the body provably terminates (every branch returned, jumped
-	// or panicked) the residual state is unreachable and each exit
-	// already checked itself.
-	if !c.execList(body.List, st) {
-		c.requireEmpty(st, body.End(), "function end")
+func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
+	c := &checker{pass: pass, upgrades: make(map[ast.Expr]upgrade), reported: make(map[token.Pos]bool)}
+	if !c.scan(body) {
+		return
+	}
+	g := cfg.Build(body)
+	in := cfg.Solve(g, c)
+	c.emit = true
+	cfg.Replay(g, c, in)
+	// Falling off the end is an implicit return. Exit is absent when the
+	// body never gets there (every path returned, or looped for ever).
+	if st, ok := in[g.Exit]; ok {
+		c.leak(st.(held), body.End(), "function end")
 	}
 }
 
-func (c *checker) info() *types.Info { return c.pass.Info }
-
-// requireEmpty reports every still-held token at an exit point and
-// clears the state so each leak is reported once per path.
-func (c *checker) requireEmpty(st *state, pos token.Pos, where string) {
-	for obj, acq := range st.held {
-		c.pass.Reportf(pos, "exclusive token %q (AcquireEx at line %d) is not released on this path (%s)",
-			obj.Name(), analysis.LineOf(c.pass.Fset, acq), where)
-		delete(st.held, obj)
-	}
-}
-
-// execList interprets a statement list; it returns true if the list
-// terminates (return/goto/panic/branch) rather than falling through.
-func (c *checker) execList(list []ast.Stmt, st *state) bool {
-	for _, s := range list {
-		if c.exec(s, st) {
-			return true
+// scan records the body's upgrade conditions and reports whether it
+// can acquire an exclusive token at all; bodies that cannot are
+// skipped.
+func (c *checker) scan(body *ast.BlockStmt) bool {
+	acquires := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			switch analysis.LockCall(c.pass.Info, n) {
+			case "AcquireEx", "Upgrade":
+				acquires = true
+			}
+		case *ast.IfStmt:
+			if u, ok := c.upgradeCond(n); ok {
+				c.upgrades[n.Cond] = u
+			}
 		}
-	}
-	return false
+		return true
+	})
+	return acquires
 }
 
-func (c *checker) exec(s ast.Stmt, st *state) (terminated bool) {
-	switch stmt := s.(type) {
+func (c *checker) Entry() cfg.State { return held{} }
+
+func (c *checker) Transfer(n ast.Node, s cfg.State) cfg.State {
+	st := maps.Clone(s.(held))
+	switch n := n.(type) {
 	case *ast.AssignStmt:
-		c.execAssign(stmt, st)
+		c.assign(n.Lhs, n.Rhs, st)
 	case *ast.DeclStmt:
-		if gd, ok := stmt.Decl.(*ast.GenDecl); ok {
+		if gd, ok := n.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
-					c.execValueSpec(vs, st)
+					lhs := make([]ast.Expr, len(vs.Names))
+					for i, id := range vs.Names {
+						lhs[i] = id
+					}
+					c.assign(lhs, vs.Values, st)
 				}
 			}
 		}
 	case *ast.ExprStmt:
-		if call, ok := stmt.X.(*ast.CallExpr); ok {
-			if c.isRelease(call) {
-				c.applyRelease(call, st)
-				return false
-			}
-			if analysis.IsPkgFunc(c.info(), call, lockPkgName, "AcquireEx") {
-				c.pass.Reportf(call.Pos(), "AcquireEx token discarded; it can never be released")
-				return false
-			}
-			if c.isPanic(call) {
-				c.escapes(stmt, st)
-				c.requireEmpty(st, call.Pos(), "panic")
-				return true
+		call, ok := n.X.(*ast.CallExpr)
+		if !ok {
+			c.escapes(n, st)
+			break
+		}
+		switch analysis.LockCall(c.pass.Info, call) {
+		case "ReleaseEx":
+			c.release(call, st)
+		case "AcquireEx":
+			c.report(call.Pos(), "AcquireEx token discarded; it can never be released")
+		default:
+			c.escapes(n, st)
+			if analysis.BuiltinName(c.pass.Info, call) == "panic" {
+				return c.leak(st, call.Pos(), "panic")
 			}
 		}
-		c.escapes(stmt, st)
 	case *ast.DeferStmt:
-		// A deferred release (directly or inside a func literal)
-		// covers every path out of the function.
+		// A deferred release (directly or inside a func literal) covers
+		// every path out of the function.
 		found := false
-		ast.Inspect(stmt.Call, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && c.isRelease(call) {
-				c.applyRelease(call, st)
+		ast.Inspect(n.Call, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok && analysis.LockCall(c.pass.Info, call) == "ReleaseEx" {
+				c.release(call, st)
 				found = true
 			}
 			return true
 		})
 		if !found {
-			c.escapes(stmt, st)
+			c.escapes(n, st)
 		}
-	case *ast.GoStmt:
-		c.escapes(stmt, st)
 	case *ast.ReturnStmt:
-		c.escapes(stmt, st) // returned tokens transfer custody
-		c.requireEmpty(st, stmt.Pos(), "return")
-		return true
+		c.escapes(n, st) // returned tokens transfer custody
+		return c.leak(st, n.Pos(), "return")
 	case *ast.BranchStmt:
-		if stmt.Tok == token.GOTO {
+		if n.Tok == token.GOTO {
 			// The restart idiom jumps back and re-acquires: anything
 			// still held here leaks (and deadlocks queue locks).
-			c.requireEmpty(st, stmt.Pos(), "goto "+labelName(stmt))
+			return c.leak(st, n.Pos(), "goto "+n.Label.Name)
 		}
-		return true
-	case *ast.IfStmt:
-		return c.execIf(stmt, st)
 	case *ast.SwitchStmt:
-		if stmt.Init != nil {
-			c.exec(stmt.Init, st)
-		}
-		c.escapes(stmt.Tag, st)
-		return c.execClauses(clauseBodies(stmt.Body), hasDefault(stmt.Body), st)
+		c.escapes(n.Tag, st) // the clauses are blocks of their own
 	case *ast.TypeSwitchStmt:
-		if stmt.Init != nil {
-			c.exec(stmt.Init, st)
-		}
-		return c.execClauses(clauseBodies(stmt.Body), hasDefault(stmt.Body), st)
-	case *ast.SelectStmt:
-		return c.execClauses(clauseBodies(stmt.Body), true, st)
-	case *ast.ForStmt:
-		if stmt.Init != nil {
-			c.exec(stmt.Init, st)
-		}
-		c.escapes(stmt.Cond, st)
-		c.execLoopBody(stmt.Body, st)
-		if stmt.Cond == nil && !hasLoopBreak(stmt.Body) {
-			// `for {}` with no break never falls through (the ART
-			// descent loop); the state after it is unreachable.
-			return true
-		}
+		c.escapes(n.Assign, st)
 	case *ast.RangeStmt:
-		c.escapes(stmt.X, st)
-		c.execLoopBody(stmt.Body, st)
-	case *ast.BlockStmt:
-		return c.execList(stmt.List, st)
-	case *ast.LabeledStmt:
-		return c.exec(stmt.Stmt, st)
+		c.escapes(n.X, st)
+	case *ast.SelectStmt:
 	default:
-		c.escapes(s, st)
+		c.escapes(n, st)
 	}
-	return false
+	return st
 }
 
-func labelName(b *ast.BranchStmt) string {
-	if b.Label != nil {
-		return b.Label.Name
+// Branch holds the upgraded token on the edge where Upgrade succeeded.
+func (c *checker) Branch(cond ast.Expr, truth bool, s cfg.State) cfg.State {
+	u, ok := c.upgrades[cond]
+	if !ok || truth == u.negated {
+		return s
 	}
-	return ""
+	st := maps.Clone(s.(held))
+	st[u.tok] = u.pos
+	return st
 }
 
-func (c *checker) execAssign(stmt *ast.AssignStmt, st *state) {
-	// tok := x.AcquireEx(c)
-	if len(stmt.Rhs) == 1 {
-		if call, ok := stmt.Rhs[0].(*ast.CallExpr); ok && analysis.IsPkgFunc(c.info(), call, lockPkgName, "AcquireEx") {
-			c.escapes(call, st) // args first (paranoia)
-			if len(stmt.Lhs) == 1 {
-				if id, ok := stmt.Lhs[0].(*ast.Ident); ok {
-					if id.Name == "_" {
-						c.pass.Reportf(call.Pos(), "AcquireEx token assigned to blank; it can never be released")
-						return
-					}
-					if obj := c.lhsObj(id); obj != nil {
-						st.held[obj] = call.Pos()
-						return
-					}
-				}
-			}
-			// Stored into a field or element (`h.tok = ...`): custody
-			// transfers to the structure's owner — the held-stack idiom
-			// the pessimistic SMO paths use.
-			for _, lhs := range stmt.Lhs {
-				c.escapes(lhs, st)
-			}
-			return
-		}
-	}
-	// Generic assignment: every held token read on the RHS (or
-	// overwritten on the LHS) escapes custody tracking.
-	for _, e := range stmt.Rhs {
-		c.escapes(e, st)
-	}
-	for _, e := range stmt.Lhs {
-		if id, ok := e.(*ast.Ident); ok {
-			if obj := c.lhsObj(id); obj != nil {
-				delete(st.held, obj) // overwritten
-			}
+// BackEdge reports the tokens acquired inside loop that are still held
+// when a path re-enters it, and drops them so the leak is reported
+// once.
+func (c *checker) BackEdge(loop ast.Stmt, s cfg.State) cfg.State {
+	st := s.(held)
+	var out held
+	for obj, acq := range st {
+		if acq < loop.Pos() || acq >= loop.End() {
 			continue
 		}
+		if c.emit && !c.reported[acq] {
+			c.reported[acq] = true
+			c.pass.Reportf(acq, "exclusive token %q acquired inside the loop is still held at the loop's back edge (leaks once per iteration)", obj.Name())
+		}
+		if out == nil {
+			out = maps.Clone(st)
+		}
+		delete(out, obj)
+	}
+	if out == nil {
+		return s
+	}
+	return out
+}
+
+func (c *checker) Join(a, b cfg.State) cfg.State {
+	out := maps.Clone(a.(held))
+	for k, v := range b.(held) {
+		if _, ok := out[k]; !ok {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+func (c *checker) Equal(a, b cfg.State) bool { return maps.Equal(a.(held), b.(held)) }
+
+func (c *checker) report(pos token.Pos, format string, args ...any) {
+	if c.emit {
+		c.pass.Reportf(pos, format, args...)
+	}
+}
+
+// leak reports every still-held token at an exit point and returns the
+// empty set, so each leak is reported once per path.
+func (c *checker) leak(st held, pos token.Pos, where string) held {
+	for obj, acq := range st {
+		c.report(pos, "exclusive token %q (AcquireEx at line %d) is not released on this path (%s)",
+			obj.Name(), analysis.LineOf(c.pass.Fset, acq), where)
+	}
+	return held{}
+}
+
+func (c *checker) assign(lhs, rhs []ast.Expr, st held) {
+	// Every held token read on the right, or overwritten on the left,
+	// escapes custody tracking. A token stored into a field or element
+	// (`h.tok = ...`) goes to the structure's owner: the held-stack
+	// idiom of the pessimistic SMO paths.
+	for _, e := range rhs {
 		c.escapes(e, st)
 	}
-}
-
-func (c *checker) execValueSpec(vs *ast.ValueSpec, st *state) {
-	for i, v := range vs.Values {
-		if call, ok := v.(*ast.CallExpr); ok && analysis.IsPkgFunc(c.info(), call, lockPkgName, "AcquireEx") && i < len(vs.Names) {
-			if obj := c.info().Defs[vs.Names[i]]; obj != nil {
-				st.held[obj] = call.Pos()
-				continue
-			}
-		}
-		c.escapes(v, st)
-	}
-}
-
-func (c *checker) execIf(stmt *ast.IfStmt, st *state) bool {
-	if stmt.Init != nil {
-		c.exec(stmt.Init, st)
-	}
-	thenSt := st.clone()
-	elseSt := st.clone()
-	// Upgrade promotion: `if tok, ok = x.Upgrade(c, tok); ok` holds tok
-	// in the then-branch; with `!ok` it is held on the fallthrough/else
-	// side.
-	if tok, pos, negated, ok := c.upgradeCond(stmt); ok {
-		if negated {
-			elseSt.held[tok] = pos
+	for _, e := range lhs {
+		if id, ok := e.(*ast.Ident); ok {
+			delete(st, c.pass.Info.ObjectOf(id))
 		} else {
-			thenSt.held[tok] = pos
+			c.escapes(e, st)
 		}
-	} else {
-		c.escapes(stmt.Cond, st)
-		thenSt, elseSt = st.clone(), st.clone()
 	}
-	thenTerm := c.execList(stmt.Body.List, thenSt)
-	elseTerm := false
-	if stmt.Else != nil {
-		elseTerm = c.exec(stmt.Else, elseSt)
+	if len(lhs) != len(rhs) {
+		return
 	}
-	// Join the continuing branches.
-	switch {
-	case thenTerm && elseTerm:
-		return true
-	case thenTerm:
-		*st = *elseSt
-	case elseTerm:
-		*st = *thenSt
-	default:
-		*st = *thenSt
-		st.union(elseSt)
+	// tok := x.AcquireEx(c), or var tok = x.AcquireEx(c)
+	for i, e := range rhs {
+		call, ok := e.(*ast.CallExpr)
+		id, isID := lhs[i].(*ast.Ident)
+		switch {
+		case !ok || !isID || analysis.LockCall(c.pass.Info, call) != "AcquireEx":
+		case id.Name == "_":
+			c.report(call.Pos(), "AcquireEx token assigned to blank; it can never be released")
+		case c.pass.Info.ObjectOf(id) != nil:
+			st[c.pass.Info.ObjectOf(id)] = call.Pos()
+		}
 	}
-	return false
 }
 
 // upgradeCond matches `if tok, ok = x.Upgrade(c, tok); ok` (or `!ok`,
 // `:=`, parentheses), returning the token object that receives the
 // upgraded token and whether the condition is negated.
-func (c *checker) upgradeCond(stmt *ast.IfStmt) (types.Object, token.Pos, bool, bool) {
+func (c *checker) upgradeCond(stmt *ast.IfStmt) (upgrade, bool) {
 	asg, ok := stmt.Init.(*ast.AssignStmt)
 	if !ok || len(asg.Lhs) != 2 || len(asg.Rhs) != 1 {
-		return nil, token.NoPos, false, false
+		return upgrade{}, false
 	}
 	call, ok := ast.Unparen(asg.Rhs[0]).(*ast.CallExpr)
-	if !ok || !analysis.IsPkgFunc(c.info(), call, lockPkgName, "Upgrade") {
-		return nil, token.NoPos, false, false
+	if !ok || analysis.LockCall(c.pass.Info, call) != "Upgrade" {
+		return upgrade{}, false
 	}
 	tokID, ok1 := asg.Lhs[0].(*ast.Ident)
 	flagID, ok2 := asg.Lhs[1].(*ast.Ident)
 	if !ok1 || !ok2 {
-		return nil, token.NoPos, false, false
+		return upgrade{}, false
 	}
 	negated := false
 	e := ast.Unparen(stmt.Cond)
@@ -349,164 +323,45 @@ func (c *checker) upgradeCond(stmt *ast.IfStmt) (types.Object, token.Pos, bool, 
 		e = ast.Unparen(u.X)
 	}
 	cond, ok := e.(*ast.Ident)
-	if !ok || c.info().Uses[cond] == nil || c.info().Uses[cond] != c.lhsObj(flagID) {
-		return nil, token.NoPos, false, false
+	if !ok || c.pass.Info.Uses[cond] == nil || c.pass.Info.Uses[cond] != c.pass.Info.ObjectOf(flagID) {
+		return upgrade{}, false
 	}
-	if obj := c.lhsObj(tokID); obj != nil {
-		return obj, call.Pos(), negated, true
+	if obj := c.pass.Info.ObjectOf(tokID); obj != nil {
+		return upgrade{tok: obj, pos: call.Pos(), negated: negated}, true
 	}
-	return nil, token.NoPos, false, false
+	return upgrade{}, false
 }
 
-func (c *checker) execClauses(bodies [][]ast.Stmt, exhaustive bool, st *state) bool {
-	if len(bodies) == 0 {
-		return false
-	}
-	var joined *state
-	allTerm := true
-	for _, body := range bodies {
-		bst := st.clone()
-		if !c.execList(body, bst) {
-			allTerm = false
-			if joined == nil {
-				joined = bst
-			} else {
-				joined.union(bst)
-			}
-		}
-	}
-	if !exhaustive {
-		// No default: the switch may fall through unchanged.
-		allTerm = false
-		if joined == nil {
-			joined = st.clone()
-		} else {
-			joined.union(st)
-		}
-	}
-	if allTerm {
-		return true
-	}
-	*st = *joined
-	return false
-}
-
-// execLoopBody checks a loop body for per-iteration leaks: a token
-// acquired inside the body that is still held when the back edge is
-// reached leaks once per iteration.
-func (c *checker) execLoopBody(body *ast.BlockStmt, st *state) {
-	entry := st.clone()
-	bst := st.clone()
-	terminated := c.execList(body.List, bst)
-	if !terminated {
-		for obj, acq := range bst.held {
-			if _, pre := entry.held[obj]; !pre {
-				c.pass.Reportf(acq, "exclusive token %q acquired inside the loop is still held at the loop's back edge (leaks once per iteration)", obj.Name())
-			}
-		}
-	}
-	// After the loop, be conservative: keep the entry view (the body
-	// may have run zero times).
-	*st = *entry
-}
-
-// hasLoopBreak reports whether the loop body contains a break that
-// can exit the loop: an unlabeled break not bound to a nested
-// loop/switch/select, or any labeled break (conservatively assumed to
-// target this loop).
-func hasLoopBreak(body *ast.BlockStmt) bool {
-	found := false
-	analysis.WalkStack(body, func(n ast.Node, stack []ast.Node) bool {
-		if found {
-			return false
-		}
-		br, ok := n.(*ast.BranchStmt)
-		if !ok || br.Tok != token.BREAK {
-			return true
-		}
-		if br.Label != nil {
-			found = true
-			return false
-		}
-		for i := len(stack) - 1; i >= 0; i-- {
-			switch stack[i].(type) {
-			case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt, *ast.FuncLit:
-				return true // bound to the nested breakable statement
-			}
-		}
-		found = true
-		return false
-	})
-	return found
-}
-
-func (c *checker) isRelease(call *ast.CallExpr) bool {
-	return analysis.IsPkgFunc(c.info(), call, lockPkgName, "ReleaseEx")
-}
-
-func (c *checker) isPanic(call *ast.CallExpr) bool {
-	return analysis.BuiltinName(c.info(), call) == "panic"
-}
-
-// applyRelease removes the released token variable from the held set.
-func (c *checker) applyRelease(call *ast.CallExpr, st *state) {
+// release removes the released token variable from the held set.
+func (c *checker) release(call *ast.CallExpr, st held) {
 	for _, arg := range call.Args {
 		if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
-			if obj := c.info().Uses[id]; obj != nil {
-				delete(st.held, obj)
+			if obj := c.pass.Info.Uses[id]; obj != nil {
+				delete(st, obj)
 			}
 		}
 	}
-}
-
-// lhsObj resolves an assignment target identifier.
-func (c *checker) lhsObj(id *ast.Ident) types.Object {
-	if obj := c.info().Defs[id]; obj != nil {
-		return obj
-	}
-	return c.info().Uses[id]
 }
 
 // escapes scans an arbitrary node for reads of held token variables;
 // any such use outside a ReleaseEx/CloseWindow/Upgrade transfers
 // custody and stops tracking.
-func (c *checker) escapes(n ast.Node, st *state) {
-	if n == nil || len(st.held) == 0 {
+func (c *checker) escapes(n ast.Node, st held) {
+	if n == nil || len(st) == 0 {
 		return
 	}
 	ast.Inspect(n, func(m ast.Node) bool {
 		if call, ok := m.(*ast.CallExpr); ok {
-			if analysis.IsPkgFunc(c.info(), call, lockPkgName, "ReleaseEx", "CloseWindow", "Upgrade") {
+			switch analysis.LockCall(c.pass.Info, call) {
+			case "ReleaseEx", "CloseWindow", "Upgrade":
 				return false // uses inside these keep custody here
 			}
 		}
 		if id, ok := m.(*ast.Ident); ok {
-			if obj := c.info().Uses[id]; obj != nil {
-				delete(st.held, obj)
+			if obj := c.pass.Info.Uses[id]; obj != nil {
+				delete(st, obj)
 			}
 		}
 		return true
 	})
-}
-
-func clauseBodies(body *ast.BlockStmt) [][]ast.Stmt {
-	var out [][]ast.Stmt
-	for _, s := range body.List {
-		switch cl := s.(type) {
-		case *ast.CaseClause:
-			out = append(out, cl.Body)
-		case *ast.CommClause:
-			out = append(out, cl.Body)
-		}
-	}
-	return out
-}
-
-func hasDefault(body *ast.BlockStmt) bool {
-	for _, s := range body.List {
-		if cl, ok := s.(*ast.CaseClause); ok && cl.List == nil {
-			return true
-		}
-	}
-	return false
 }

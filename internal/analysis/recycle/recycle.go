@@ -70,30 +70,22 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 
 // isRecyclerGet matches locks.Recycler.Get method calls.
 func isRecyclerGet(info *types.Info, call *ast.CallExpr) bool {
-	fn := analysis.CalleeFunc(info, call)
-	if fn == nil || fn.Name() != "Get" || fn.Pkg() == nil || fn.Pkg().Name() != "locks" {
+	if analysis.LockCall(info, call) != "Get" {
 		return false
 	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	return recvNamed(recv.Type()) == "Recycler"
+	recv := analysis.CalleeFunc(info, call).Type().(*types.Signature).Recv()
+	return recv != nil && recvNamed(recv.Type()) == "Recycler"
 }
 
 // isBump matches locks.BumpOnReuse(...) and any BumpVersion method
 // call (the locks.VersionBumper interface method or a concrete lock's
 // implementation).
 func isBump(info *types.Info, call *ast.CallExpr) bool {
+	if analysis.LockCall(info, call) == "BumpOnReuse" {
+		return true
+	}
 	fn := analysis.CalleeFunc(info, call)
-	if fn == nil {
-		return false
-	}
-	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == nil {
-		return fn.Name() == "BumpOnReuse" && fn.Pkg() != nil && fn.Pkg().Name() == "locks"
-	}
-	return fn.Name() == "BumpVersion"
+	return fn != nil && fn.Name() == "BumpVersion" && fn.Type().(*types.Signature).Recv() != nil
 }
 
 func recvNamed(t types.Type) string {

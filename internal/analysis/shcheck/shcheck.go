@@ -4,8 +4,7 @@
 // has been checked.
 //
 // Concretely, for every call to a locks-package AcquireSh, ReleaseSh
-// or Upgrade (matched by package *name* so the testdata stubs
-// exercise the same code paths):
+// or Upgrade (as analysis.LockCall recognises them):
 //
 //   - AcquireSh must be consumed as `tok, ok := x.AcquireSh(c)` and
 //     the ok flag must be branched on somewhere in the function;
@@ -14,11 +13,12 @@
 //   - ReleaseSh's boolean must flow into control flow: a branch
 //     condition, an assigned variable that is later branched on or
 //     returned, a return value, or a call argument. Discarding it as
-//     a bare statement is allowed only on restart cleanup paths —
-//     when the statement (possibly through a chain of further cleanup
-//     releases) is directly followed by a goto/continue/break, so no
-//     value read under the token can escape. Discard-then-return is
-//     flagged: returns can leak token-protected reads.
+//     a bare statement is allowed only on restart paths: every path
+//     from it through the function's control-flow graph, passing only
+//     further cleanup releases, must take a loop back edge (a
+//     continue, the end of a loop body, a goto retry), so no value
+//     read under the token can escape. Break, falling out and return
+//     are not restarts.
 //   - A deferred ReleaseSh discards the validation result by
 //     construction and is flagged (pessimistic-only paths document
 //     themselves with an optiqlvet:ignore directive).
@@ -38,6 +38,7 @@ import (
 	"go/ast"
 
 	"optiql/internal/analysis"
+	"optiql/internal/analysis/cfg"
 )
 
 // Analyzer is the shcheck pass.
@@ -47,26 +48,25 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-const lockPkgName = "locks"
-
 func run(pass *analysis.Pass) error {
-	if pass.Pkg != nil && pass.Pkg.Name() == lockPkgName {
+	if analysis.IsLockPkg(pass.Pkg) {
 		// The locks package implements the primitives; its internals
 		// manipulate lock words, not tokens-under-protocol.
 		return nil
 	}
+	graphs := make(map[*ast.BlockStmt]*cfg.Graph)
 	for _, f := range pass.Files {
 		analysis.WalkStack(f, func(n ast.Node, stack []ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			switch {
-			case analysis.IsPkgFunc(pass.Info, call, lockPkgName, "AcquireSh"):
+			switch analysis.LockCall(pass.Info, call) {
+			case "AcquireSh":
 				checkAcquireSh(pass, call, stack)
-			case analysis.IsPkgFunc(pass.Info, call, lockPkgName, "ReleaseSh"):
-				checkReleaseSh(pass, call, stack)
-			case analysis.IsPkgFunc(pass.Info, call, lockPkgName, "Upgrade"):
+			case "ReleaseSh":
+				checkReleaseSh(pass, call, stack, graphs)
+			case "Upgrade":
 				checkUpgrade(pass, call, stack)
 			}
 			return true
@@ -113,14 +113,14 @@ func checkUpgrade(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) {
 	pass.Reportf(call.Pos(), "Upgrade result must be branched on: an unchecked upgrade proceeds without holding the lock exclusively (in %s)", analysis.EnclosingFuncName(stack))
 }
 
-func checkReleaseSh(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) {
+func checkReleaseSh(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node, graphs map[*ast.BlockStmt]*cfg.Graph) {
 	if len(stack) == 0 {
 		return
 	}
 	parent := stack[len(stack)-1]
 	switch p := parent.(type) {
 	case *ast.ExprStmt:
-		if !followedByJump(pass, p, stack[:len(stack)-1]) {
+		if !restartsAfter(pass, p, enclosingFunc(stack), graphs) {
 			pass.Reportf(call.Pos(), "ReleaseSh validation result discarded outside a restart path; data read under the token may escape unvalidated (in %s)", analysis.EnclosingFuncName(stack))
 		}
 		return
@@ -134,7 +134,7 @@ func checkReleaseSh(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) {
 		checkAssignedFlag(pass, p, call, stack)
 		return
 	}
-	if usedAsControl(pass, call, stack) {
+	if usedAsControl(call, stack) {
 		return
 	}
 	pass.Reportf(call.Pos(), "ReleaseSh validation result must reach a branch, return or caller (in %s)", analysis.EnclosingFuncName(stack))
@@ -169,10 +169,7 @@ func upgradeBranched(pass *analysis.Pass, stack []ast.Node) bool {
 	if !ok || flag.Name == "_" {
 		return false
 	}
-	obj := pass.Info.Defs[flag]
-	if obj == nil {
-		obj = pass.Info.Uses[flag]
-	}
+	obj := pass.Info.ObjectOf(flag)
 	if obj == nil {
 		return false
 	}
@@ -203,29 +200,22 @@ func checkAssignedFlag(pass *analysis.Pass, asg *ast.AssignStmt, call *ast.CallE
 	}
 }
 
-// usedAsControl reports whether the call expression's value flows
-// into control flow or escapes: it sits (possibly under !,&&,|| or
-// parentheses) in an if/for/switch condition, a return statement, or
-// a call argument.
-func usedAsControl(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) bool {
-	child := ast.Node(call)
+// usedAsControl reports whether the value of expression n (on top of
+// stack) flows into control flow or escapes: it sits (possibly under
+// !,&&,|| or parentheses) in an if/for/switch condition, a return
+// statement, or a call argument.
+func usedAsControl(n ast.Node, stack []ast.Node) bool {
+	child := n
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch p := stack[i].(type) {
 		case *ast.ParenExpr, *ast.UnaryExpr, *ast.BinaryExpr:
 			child = p
-			continue
 		case *ast.IfStmt:
 			return p.Cond == child
 		case *ast.ForStmt:
 			return p.Cond == child
-		case *ast.SwitchStmt:
-			return true
-		case *ast.CaseClause:
-			return true
-		case *ast.ReturnStmt:
-			return true
-		case *ast.CallExpr:
-			// Argument to another call: the callee takes custody.
+		case *ast.SwitchStmt, *ast.CaseClause, *ast.ReturnStmt, *ast.CallExpr:
+			// A call argument: the callee takes custody.
 			return true
 		default:
 			return false
@@ -253,138 +243,87 @@ func parentAssign(stack []ast.Node) *ast.AssignStmt {
 // read inside any branch condition, return statement, or call
 // argument of the enclosing function.
 func flagBranched(pass *analysis.Pass, stack []ast.Node, id *ast.Ident) bool {
-	body := enclosingFunc(stack)
-	if body == nil {
-		return true
-	}
-	obj := pass.Info.Defs[id]
-	if obj == nil {
-		obj = pass.Info.Uses[id]
-	}
-	if obj == nil {
+	body, obj := enclosingFunc(stack), pass.Info.ObjectOf(id)
+	if body == nil || obj == nil {
 		return true // unresolved; don't guess
 	}
 	found := false
 	analysis.WalkStack(body, func(n ast.Node, st []ast.Node) bool {
-		if found {
-			return false
+		if use, ok := n.(*ast.Ident); ok && use != id && pass.Info.Uses[use] == obj && usedAsControl(use, st) {
+			found = true
 		}
-		use, ok := n.(*ast.Ident)
-		if !ok || use == id || pass.Info.Uses[use] != obj {
-			return true
-		}
-		// Is this use inside a condition, return or call?
-		child := ast.Node(use)
-		for i := len(st) - 1; i >= 0; i-- {
-			switch p := st[i].(type) {
-			case *ast.ParenExpr, *ast.UnaryExpr, *ast.BinaryExpr:
-				child = p
-				continue
-			case *ast.IfStmt:
-				if p.Cond == child {
-					found = true
-				}
-			case *ast.ForStmt:
-				if p.Cond == child {
-					found = true
-				}
-			case *ast.SwitchStmt, *ast.CaseClause, *ast.ReturnStmt, *ast.CallExpr:
-				found = true
-			}
-			break
-		}
-		return true
+		return !found
 	})
 	return found
 }
 
-// followedByJump reports whether control after stmt (a bare ReleaseSh
-// statement) provably leaves the enclosing operation through a
-// goto/continue/break — the restart idiom — passing only through
-// further cleanup statements. It walks outward through the statement
-// lists of the enclosing blocks; reaching a return, a loop's back
-// edge or the function end means token-protected data could escape.
-func followedByJump(pass *analysis.Pass, stmt ast.Stmt, stack []ast.Node) bool {
-	self := ast.Node(stmt)
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch p := stack[i].(type) {
-		case *ast.BlockStmt:
-			if decided, jump := scanList(pass, p.List, self); decided {
-				return jump
+// restartsAfter reports whether every path from stmt (a bare
+// ReleaseSh statement in body) takes a loop back edge, passing only
+// cleanup on the way: the restart idiom. Reaching anything else — a
+// read, a return, the function's end — means data read under the
+// token could escape.
+func restartsAfter(pass *analysis.Pass, stmt ast.Stmt, body *ast.BlockStmt, graphs map[*ast.BlockStmt]*cfg.Graph) bool {
+	if body == nil {
+		return false
+	}
+	g, ok := graphs[body]
+	if !ok {
+		g = cfg.Build(body)
+		graphs[body] = g
+	}
+	seen := make(map[*cfg.Block]bool)
+	var restarts func(blk *cfg.Block, from int) bool
+	restarts = func(blk *cfg.Block, from int) bool {
+		for _, n := range blk.Stmts[from:] {
+			if !isCleanup(pass, blk, n) {
+				return false
 			}
-			self = p
-		case *ast.CaseClause:
-			if decided, jump := scanList(pass, p.Body, self); decided {
-				return jump
+		}
+		if blk.Back != nil {
+			return true
+		}
+		if len(blk.Succs) == 0 {
+			return false // the function's exit
+		}
+		for _, succ := range blk.Succs {
+			if !seen[succ] {
+				seen[succ] = true
+				if !restarts(succ, 0) {
+					return false
+				}
 			}
-			self = p
-		case *ast.CommClause:
-			if decided, jump := scanList(pass, p.Body, self); decided {
-				return jump
+		}
+		return true
+	}
+	for _, blk := range g.Blocks {
+		for i, n := range blk.Stmts {
+			if n == stmt {
+				return restarts(blk, i+1)
 			}
-			self = p
-		case *ast.IfStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt, *ast.LabeledStmt:
-			// Fell out of a branch: control continues after it.
-			self = p.(ast.Node)
-		case *ast.ForStmt, *ast.RangeStmt:
-			return false // loop back edge: the token may be read again
-		case *ast.FuncDecl, *ast.FuncLit:
-			return false // implicit return
-		default:
-			return false
 		}
 	}
 	return false
 }
 
-// scanList scans the statements after self in list: cleanup
-// statements are skipped, the first significant one decides, an
-// exhausted list leaves the decision to the enclosing context.
-func scanList(pass *analysis.Pass, list []ast.Stmt, self ast.Node) (decided, jump bool) {
-	idx := -1
-	for j, s := range list {
-		if ast.Node(s) == self {
-			idx = j
-			break
-		}
-	}
-	if idx < 0 {
-		return true, false // self not directly in this list: lost track, be strict
-	}
-	for _, s := range list[idx+1:] {
-		if isCleanup(pass, s) {
-			continue
-		}
-		if j, ok := s.(*ast.BranchStmt); ok {
-			t := j.Tok.String()
-			return true, t == "goto" || t == "continue" || t == "break"
-		}
-		return true, false
-	}
-	return false, false
-}
-
-// isCleanup recognizes the statements a restart path may pass
-// through after a discarded ReleaseSh: further lock releases (shared
-// or exclusive) and conditional blocks containing only those.
-func isCleanup(pass *analysis.Pass, s ast.Stmt) bool {
-	switch st := s.(type) {
+// isCleanup recognizes the nodes a restart path may pass through after
+// a discarded ReleaseSh: further lock releases (shared or exclusive),
+// branch statements, and the condition of an if whose arms are then
+// walked in turn.
+func isCleanup(pass *analysis.Pass, blk *cfg.Block, n ast.Node) bool {
+	switch n := n.(type) {
 	case *ast.ExprStmt:
-		call, ok := st.X.(*ast.CallExpr)
+		call, ok := n.X.(*ast.CallExpr)
 		if !ok {
 			return false
 		}
-		return analysis.IsPkgFunc(pass.Info, call, lockPkgName, "ReleaseSh", "ReleaseEx", "CloseWindow")
-	case *ast.IfStmt:
-		if st.Else != nil || st.Init != nil {
-			return false
+		switch analysis.LockCall(pass.Info, call) {
+		case "ReleaseSh", "ReleaseEx", "CloseWindow":
+			return true
 		}
-		for _, inner := range st.Body.List {
-			if !isCleanup(pass, inner) {
-				return false
-			}
-		}
-		return len(st.Body.List) > 0
+	case *ast.BranchStmt:
+		return true
+	case ast.Expr:
+		return n == blk.Cond
 	}
 	return false
 }

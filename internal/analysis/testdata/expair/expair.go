@@ -195,3 +195,75 @@ func badFuncEnd(l *locks.OptLock, c *locks.Ctx) {
 	tok := l.AcquireEx(c)
 	l.CloseWindow(tok)
 } // want "is not released on this path \\(function end\\)"
+
+// badBreakLeak leaves the loop by break still holding the token it
+// acquired there, and falls off the function end with it.
+func badBreakLeak(l *locks.OptLock, c *locks.Ctx) {
+	for {
+		tok := l.AcquireEx(c)
+		if cond() {
+			break
+		}
+		l.ReleaseEx(c, tok)
+	}
+} // want "exclusive token \"tok\" .* is not released on this path \\(function end\\)"
+
+// badContinueLeak skips the release on the continue path.
+func badContinueLeak(l *locks.OptLock, c *locks.Ctx) {
+	for i := 0; i < 3; i++ {
+		tok := l.AcquireEx(c) // want "\"tok\" acquired inside the loop is still held at the loop's back edge"
+		if cond() {
+			continue
+		}
+		l.ReleaseEx(c, tok)
+	}
+}
+
+// badLabeledContinueLeak re-enters the outer loop from the inner one
+// while holding the inner loop's token.
+func badLabeledContinueLeak(l *locks.OptLock, c *locks.Ctx) {
+outer:
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			tok := l.AcquireEx(c) // want "\"tok\" acquired inside the loop is still held at the loop's back edge"
+			if cond() {
+				continue outer
+			}
+			l.ReleaseEx(c, tok)
+		}
+	}
+}
+
+// goodReleaseThenBreak releases a token taken before the loop on the
+// one path that leaves it (regression: a false function-end leak).
+func goodReleaseThenBreak(l *locks.OptLock, c *locks.Ctx) {
+	tok := l.AcquireEx(c)
+	for {
+		if cond() {
+			l.ReleaseEx(c, tok)
+			break
+		}
+		work()
+	}
+}
+
+// badPanicBranchLeak panics holding a token taken in the panicking
+// branch: reported at the panic, and not again at the function end.
+func badPanicBranchLeak(l *locks.OptLock, c *locks.Ctx) {
+	if cond() {
+		tok := l.AcquireEx(c)
+		l.CloseWindow(tok)
+		panic("invariant") // want "exclusive token \"tok\" .* is not released on this path \\(panic\\)"
+	}
+	work()
+}
+
+// badVarLeak binds the token with a var declaration and returns
+// without releasing it.
+func badVarLeak(l *locks.OptLock, c *locks.Ctx) {
+	var tok = l.AcquireEx(c)
+	if cond() {
+		return // want "exclusive token \"tok\" .* is not released on this path \\(return\\)"
+	}
+	l.ReleaseEx(c, tok)
+}

@@ -167,3 +167,61 @@ func badStaleUpgradeFlag(l *locks.OptLock, c *locks.Ctx) {
 	tok, ok = l.Upgrade(c, tok) // want "Upgrade result must be branched on"
 	l.ReleaseEx(c, tok)
 }
+
+// badDiscardThenBreak leaves the loop by break after a discarded
+// validation and returns the unvalidated read: break is not a restart.
+func badDiscardThenBreak(l *locks.OptLock, c *locks.Ctx) int {
+	v := -1
+	for {
+		tok, ok := l.AcquireSh(c)
+		if !ok {
+			continue
+		}
+		v = read()
+		l.ReleaseSh(c, tok) // want "validation result discarded outside a restart path"
+		break
+	}
+	return v
+}
+
+// badDiscardAtEnd publishes a read made under the token, then discards
+// the validation and falls off the end: an implicit return is no
+// restart.
+func badDiscardAtEnd(l *locks.OptLock, c *locks.Ctx, out *int) {
+	tok, ok := l.AcquireSh(c)
+	if !ok {
+		return
+	}
+	*out = read()
+	l.ReleaseSh(c, tok) // want "validation result discarded outside a restart path"
+}
+
+// goodConditionalCleanup releases the second lock only where it was
+// taken, on the way to the restart: both arms still reach the back
+// edge.
+func goodConditionalCleanup(l, p *locks.OptLock, c *locks.Ctx, locked bool) int {
+	for {
+		tok, ok := l.AcquireSh(c)
+		if !ok {
+			continue
+		}
+		var ptok locks.Token
+		if locked {
+			ptok = p.AcquireEx(c)
+		}
+		if cond() {
+			l.ReleaseSh(c, tok)
+			if locked {
+				p.ReleaseEx(c, ptok)
+			}
+			continue
+		}
+		v := read()
+		if locked {
+			p.ReleaseEx(c, ptok)
+		}
+		if l.ReleaseSh(c, tok) {
+			return v
+		}
+	}
+}

@@ -143,11 +143,7 @@ var lockMethods = map[string]bool{
 // expression the lock hangs off (`n` in `n.lock.AcquireSh(c)`).
 func (a *fa) lockOp(call *ast.CallExpr, s *state) ([]absval, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !lockMethods[sel.Sel.Name] {
-		return nil, false
-	}
-	fn := analysis.CalleeFunc(a.e.pass.Info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "locks" {
+	if !ok || !lockMethods[analysis.LockCall(a.e.pass.Info, call)] {
 		return nil, false
 	}
 	owner := ""

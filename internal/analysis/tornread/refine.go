@@ -66,15 +66,9 @@ func (a *fa) refineBool(path string, truth bool, s *state) {
 }
 
 func (a *fa) refineLockCall(call *ast.CallExpr, truth bool, s *state) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "ReleaseSh" || !truth {
-		return
+	if truth && analysis.LockCall(a.e.pass.Info, call) == "ReleaseSh" {
+		a.validateAll(s)
 	}
-	fn := analysis.CalleeFunc(a.e.pass.Info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "locks" {
-		return
-	}
-	a.validateAll(s)
 }
 
 // ownerAcquired marks a node as optimistically held: dereference is

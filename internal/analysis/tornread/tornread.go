@@ -217,12 +217,10 @@ func (s *summary) equal(o *summary) bool {
 		s.ret.r == o.ret.r && s.ret.rm == o.ret.rm
 }
 
-// skippedPkgs are package names whose internals implement the lock and
-// kernel machinery itself and legitimately manipulate racy words.
-var skippedPkgs = map[string]bool{"locks": true}
-
+// The locks package is skipped: its internals implement the lock
+// machinery itself and legitimately manipulate racy words.
 func collect(pass *analysis.Pass) {
-	if skippedPkgs[pass.Pkg.Name()] {
+	if analysis.IsLockPkg(pass.Pkg) {
 		return
 	}
 	e := newEngine(pass, false)
@@ -233,7 +231,7 @@ func collect(pass *analysis.Pass) {
 }
 
 func run(pass *analysis.Pass) error {
-	if skippedPkgs[pass.Pkg.Name()] {
+	if analysis.IsLockPkg(pass.Pkg) {
 		return nil
 	}
 	e := newEngine(pass, true)
@@ -348,7 +346,7 @@ func fieldReaches(t types.Type, target *types.Named) bool {
 
 func isLockType(t types.Type) bool {
 	n := namedOf(t)
-	if n == nil || n.Obj().Pkg() == nil || n.Obj().Pkg().Name() != "locks" {
+	if n == nil || !analysis.IsLockPkg(n.Obj().Pkg()) {
 		return false
 	}
 	return strings.Contains(n.Obj().Name(), "Lock")
@@ -380,13 +378,12 @@ func stableField(t types.Type) bool {
 	if _, ok := t.Underlying().(*types.Interface); ok {
 		return true
 	}
-	if n := namedOf(t); n != nil && n.Obj().Pkg() != nil {
-		switch n.Obj().Pkg().Name() {
-		case "atomic", "sync", "locks":
-			return true
-		}
+	n := namedOf(t)
+	if n == nil || n.Obj().Pkg() == nil {
+		return false
 	}
-	return false
+	name := n.Obj().Pkg().Name()
+	return name == "atomic" || name == "sync" || analysis.IsLockPkg(n.Obj().Pkg())
 }
 
 // summarizePackage computes fixpoint summaries for every function in
@@ -553,20 +550,15 @@ func (e *engine) analyzeBody(body *ast.BlockStmt, recv *ast.FieldList, ftyp *ast
 	})
 
 	g := cfg.Build(body)
-	in := cfg.Solve(g, &problem{a: a, entry: entry})
-	// Reporting pass: re-run transfers over the stable in-states with
-	// diagnostics enabled (Solve may visit a block several times; the
-	// final pass emits each finding once, deduped by position).
-	a.emit = true
-	for _, blk := range g.Blocks {
-		st, ok := in[blk]
-		if !ok || !blk.Live {
-			continue
-		}
-		s := st.(*state).clone()
-		for _, n := range blk.Stmts {
-			s = a.transfer(n, s)
-		}
+	p := &problem{a: a, entry: entry}
+	in := cfg.Solve(g, p)
+	// Solve may visit a block several times; the replay emits each
+	// finding once, deduped by position. The summary is complete
+	// without it: Solve's last visit of every block already ran from
+	// its fixpoint in-state.
+	if report {
+		a.emit = true
+		cfg.Replay(g, p, in)
 	}
 	return a.sum
 }

@@ -286,19 +286,11 @@ func (e *wengine) analyze(body *ast.BlockStmt, report bool) *wsummary {
 	}
 	a.aware = e.walAware(body)
 	g := cfg.Build(body)
-	in := cfg.Solve(g, &wproblem{a: a})
+	p := &wproblem{a: a}
+	in := cfg.Solve(g, p)
 	if report && e.report {
 		a.emit = true
-		for _, blk := range g.Blocks {
-			st, ok := in[blk]
-			if !ok || !blk.Live {
-				continue
-			}
-			s := st.(*wstate).clone()
-			for _, n := range blk.Stmts {
-				s = a.transfer(n, s)
-			}
-		}
+		cfg.Replay(g, p, in)
 	}
 	return a.sum
 }

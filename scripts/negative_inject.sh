@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Negative injection for the analyzers: plant one torn-read hazard, one
-# WAL-ordering hazard and two upgrade-protocol hazards into scratch
-# copies of the module and assert that tornread, walorder, shcheck and
-# expair each catch their plant end-to-end through `go vet -vettool`.
+# WAL-ordering hazard, two upgrade-protocol hazards and an exclusive
+# token leaked through a loop break into scratch copies of the module
+# and assert that tornread, walorder, shcheck and expair each catch
+# their plant end-to-end through `go vet -vettool`.
 # A gate that cannot fail is not a gate; this proves the wired-up
 # binary still detects the exact hazard classes it exists for (mirrors
 # PR 5's verification).
@@ -100,6 +101,20 @@ plant "$scratch/upg/internal/art/shrink.go" \
 	''
 expect_catch "$scratch/upg" ./internal/art/ shcheck
 expect_catch "$scratch/upg" ./internal/art/ expair
+echo "   caught"
+
+echo "== plant 4: exclusive token leaked through a loop break (expair)"
+copy_module "$scratch/brk"
+# Leave insertPessimistic's descent before the child's token is pushed
+# onto the held stack: ctok is never released, and every writer queued
+# behind that lock waits for ever.
+plant "$scratch/brk/internal/btree/write.go" \
+	'		stack = append(stack, held{child, ctok})' \
+	'		if child.leaf && k == 0 {
+			break
+		}
+		stack = append(stack, held{child, ctok})'
+expect_catch "$scratch/brk" ./internal/btree/ expair
 echo "   caught"
 
 echo "negative injection: all plants caught"
