@@ -22,7 +22,8 @@ race:
 # cache). The binary is cached in bin/ and rebuilt only when its
 # sources change, via go build's own staleness check. The escape gate
 # then asks the compiler what the analyzers cannot see across calls:
-# which hot-path locals it moved to the heap (scripts/escape_allow.txt).
+# which hot-path locals it moved to the heap (scripts/escape_allow.txt)
+# and whether the read-path helpers still inline (scripts/inline_keep.txt).
 lint: bin/optiqlvet
 	./bin/optiqlvet ./...
 	$(GO) vet -vettool=$(abspath bin/optiqlvet) ./...

@@ -56,7 +56,10 @@ type Tree struct {
 	scheme *locks.Scheme
 	fanout int // max keys per node (leaf and inner)
 	class  int // size class serving fanout (node.go); classHeap when none
-	size   atomic.Int64
+	// span is how many leading bytes of a child the read descent
+	// prefetches (prefetchSpan, node.go).
+	span uintptr
+	size atomic.Int64
 	// leafFree/innerFree recycle nodes emptied by merges and root
 	// collapses (type-stable reuse; node.go). Separate lists per role
 	// keep the leaf flag immutable for a node's whole lifetime.
@@ -121,10 +124,12 @@ func New(cfg Config) (*Tree, error) {
 	if fanout < 4 {
 		fanout = 4
 	}
+	class := classFor(fanout)
 	t := &Tree{
 		scheme:    cfg.Scheme,
 		fanout:    fanout,
-		class:     classFor(fanout),
+		class:     class,
+		span:      prefetchSpan(class),
 		leafFree:  locks.NewRecycler(),
 		innerFree: locks.NewRecycler(),
 		aorLeaf:   cfg.Scheme.AOR(),

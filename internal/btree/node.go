@@ -1,6 +1,10 @@
 package btree
 
-import "optiql/internal/locks"
+import (
+	"unsafe"
+
+	"optiql/internal/locks"
+)
 
 // Flat node layout. The C++ implementation the paper evaluates stores
 // a node as one contiguous block — header followed by inline key and
@@ -136,6 +140,39 @@ type inner254 struct {
 	k  [254]uint64
 	c  [255]*node
 	_  [8]byte
+}
+
+// classSizes holds each class's leaf and inner struct sizes, in
+// classCaps order.
+var classSizes = [...][2]uintptr{
+	{unsafe.Sizeof(leaf14{}), unsafe.Sizeof(inner14{})},
+	{unsafe.Sizeof(leaf30{}), unsafe.Sizeof(inner30{})},
+	{unsafe.Sizeof(leaf62{}), unsafe.Sizeof(inner62{})},
+	{unsafe.Sizeof(leaf126{}), unsafe.Sizeof(inner126{})},
+	{unsafe.Sizeof(leaf254{}), unsafe.Sizeof(inner254{})},
+}
+
+// prefetchSpan is how many leading bytes of a class's node the read
+// descent requests before it takes the node's lock (Tree.prefetchNode).
+// A linear-search class (fanout <= linearCap) sweeps its whole key
+// array, so the span is the smaller of its two structs; a binary-search
+// class probes the fingerprints (right after the header) first and
+// only a few keys after, so the span ends at the line holding the
+// fingerprint array's end. Heap-class arrays are separate allocations:
+// 0, and prefetchNode warms their first key line through the header
+// instead. The span never exceeds either role's struct, so a prefetch
+// through a racily read child pointer, whatever role the node turns
+// out to have, stays inside its allocation.
+func prefetchSpan(class int) uintptr {
+	if class == classHeap {
+		return 0
+	}
+	size := min(classSizes[class][0], classSizes[class][1])
+	if classCaps[class] <= linearCap {
+		return size
+	}
+	fpEnd := unsafe.Sizeof(node{}) + uintptr(classFPCaps[class])
+	return min((fpEnd+63)&^63, size)
 }
 
 // heapFPs sizes the fingerprint slice for fanouts beyond the largest

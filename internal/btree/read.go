@@ -1,24 +1,41 @@
 package btree
 
 import (
+	"unsafe"
+
 	"optiql/internal/kv"
 	"optiql/internal/locks"
 	"optiql/internal/obs"
 	"optiql/internal/simd"
 )
 
-// prefetchNode warms the first cache line of a node's key array ahead
-// of its use. The descent calls it on the chosen child before
-// acquiring the child's lock and validating the parent, so the key
-// array's cache miss overlaps with that latency instead of following
-// it. The child pointer was read racily; the bounds check keeps even
-// a half-initialized node memory-safe (slice headers are written once
-// at construction, but this code cannot rely on having observed them).
+// prefetchNode requests every cache line of n after the first, up to
+// the tree's span, at fixed offsets from n's own address. The read
+// descent calls it on the chosen child before acquiring the child's
+// lock and validating the parent, so all of the child's misses are in
+// flight together while that happens; line 0 is left to the acquire.
+// It reads no field of n: a load that waited on n's header would put
+// that miss back in front of the others. n was read racily, but node
+// memory is type-stable per size class and the span fits either
+// role's struct (prefetchSpan), so every offset stays inside n's
+// allocation.
+//
+// Heap-class nodes are the exception: their arrays are separate
+// allocations that only the header reaches, so for them it warms the
+// first key line through n.keys, bounds-checked because the header may
+// be half-written.
 //
 //optiql:noalloc
-func prefetchNode(n *node) {
-	if ks := n.keys; len(ks) > 0 {
-		simd.PrefetchU64(&ks[0])
+func (t *Tree) prefetchNode(n *node) {
+	if t.class == classHeap {
+		if ks := n.keys; len(ks) > 0 {
+			simd.Prefetch(unsafe.Pointer(&ks[0]))
+		}
+		return
+	}
+	p, span := unsafe.Pointer(n), t.span
+	for off := uintptr(64); off < span; off += 64 {
+		simd.Prefetch(unsafe.Add(p, off))
 	}
 }
 
@@ -54,7 +71,7 @@ first:
 			n.lock.ReleaseSh(c, tok)
 			goto retry
 		}
-		prefetchNode(child)
+		t.prefetchNode(child)
 		ctok, cok := child.lock.AcquireSh(c)
 		if !cok {
 			// Optimistic only: nothing is held, so just retry.
@@ -124,7 +141,7 @@ first:
 			n.lock.ReleaseSh(c, tok)
 			goto retry
 		}
-		prefetchNode(child)
+		t.prefetchNode(child)
 		ctok, cok := child.lock.AcquireSh(c)
 		if !cok {
 			goto retry
@@ -147,7 +164,7 @@ first:
 		if nxt != nil {
 			// Warm the next leaf while this one's batch is validated
 			// and committed.
-			prefetchNode(nxt)
+			t.prefetchNode(nxt)
 		}
 		if nxt != nil && len(out)+len(tmp) < limit {
 			var nok bool

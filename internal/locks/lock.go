@@ -202,20 +202,17 @@ func (c *Ctx) Rand() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// DefaultCtxQNodes is how many OptiQL queue nodes a Ctx reserves. Index
-// operations hold at most two queue-based locks at once (Section 6.1),
-// so a small fixed reserve suffices.
-const DefaultCtxQNodes = 8
-
-// NewCtx reserves nq queue nodes from pool (DefaultCtxQNodes if nq<=0)
-// for use by this thread's lock operations.
+// NewCtx reserves nq queue nodes from pool for this thread's lock
+// operations; nq = 0 reserves none. The reserve grows on demand: a
+// queue-based acquire that finds it empty takes a node from the pool,
+// and the Ctx keeps that node until Close. A Ctx that only ever reads
+// (a connection's reader, a lookup worker) therefore holds no pool
+// nodes at all; index operations hold at most two queue-based locks
+// at once (Section 6.1), so a writer's reserve levels off at two.
 func NewCtx(pool *core.Pool, nq int) *Ctx {
-	if nq <= 0 {
-		nq = DefaultCtxQNodes
-	}
 	c := &Ctx{pool: pool}
 	c.rng = uint64(ctxSeq.Add(1))*0x9E3779B97F4A7C15 | 1
-	c.q = make([]*core.QNode, 0, nq)
+	c.q = make([]*core.QNode, 0, max(nq, 2))
 	for i := 0; i < nq; i++ {
 		c.q = append(c.q, pool.Get())
 	}
@@ -226,8 +223,8 @@ func NewCtx(pool *core.Pool, nq int) *Ctx {
 	return c
 }
 
-// Close returns the reserved queue nodes to the pool. The Ctx must not
-// be used afterwards.
+// Close returns the reserved queue nodes, including any taken on
+// demand, to the pool. The Ctx must not be used afterwards.
 func (c *Ctx) Close() {
 	for _, q := range c.q {
 		c.pool.Put(q)
@@ -241,10 +238,13 @@ func (c *Ctx) Close() {
 	}
 }
 
+// getQ pops a queue node from the reserve, taking one from the pool
+// when the reserve is empty (core.Pool.Get panics only if the pool is
+// exhausted). putQ returns it to the reserve, never to the pool.
 func (c *Ctx) getQ() *core.QNode {
 	n := len(c.q)
 	if n == 0 {
-		panic("locks: Ctx out of queue nodes; operation holds too many queue-based locks")
+		return c.pool.Get()
 	}
 	q := c.q[n-1]
 	c.q = c.q[:n-1]

@@ -384,25 +384,47 @@ func TestOptLockUpgradeProperty(t *testing.T) {
 	}
 }
 
-// TestCtxExhaustion verifies the guard rails around queue-node budgets.
+// TestCtxExhaustion pins the queue-node budget contract: a Ctx's
+// reserve grows from the pool when it runs dry, keeps what it took
+// until Close, and only an exhausted pool panics.
 func TestCtxExhaustion(t *testing.T) {
-	pool := core.NewPool(8)
-	c := NewCtx(pool, 2)
-	defer c.Close()
-	l1, l2 := NewOptiQL(), NewOptiQL()
-	t1 := l1.AcquireEx(c)
-	t2 := l2.AcquireEx(c)
+	pool := core.NewPool(3)
+	if c := NewCtx(pool, 0); len(c.q) != 0 {
+		t.Fatalf("NewCtx(pool, 0) reserved %d queue nodes, want none", len(c.q))
+	}
+	c := NewCtx(pool, 1)
+	ls := []*OptiQLLock{NewOptiQL(), NewOptiQL(), NewOptiQL()}
+	var toks []Token
+	for _, l := range ls { // one node from the reserve, two from the pool
+		toks = append(toks, l.AcquireEx(c))
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("third queue-node acquisition did not panic")
+				t.Fatal("a queue-based acquire on an exhausted pool did not panic")
 			}
 		}()
-		l3 := NewOptiQL()
-		l3.AcquireEx(c)
+		NewOptiQL().AcquireEx(c)
 	}()
-	l2.ReleaseEx(c, t2)
-	l1.ReleaseEx(c, t1)
+	for i, l := range ls {
+		l.ReleaseEx(c, toks[i])
+	}
+	if len(c.q) != 3 {
+		t.Fatalf("reserve holds %d queue nodes after release, want the 3 it used", len(c.q))
+	}
+	if _, ok := pool.TryGet(); ok {
+		t.Fatal("released queue nodes went back to the pool before Close")
+	}
+	// A reserve that has grown serves later acquires without the pool.
+	for _, l := range ls {
+		l.ReleaseEx(c, l.AcquireEx(c))
+	}
+	c.Close()
+	for i := 0; i < 3; i++ {
+		if _, ok := pool.TryGet(); !ok {
+			t.Fatalf("Close returned %d queue nodes to the pool, want 3", i)
+		}
+	}
 }
 
 // TestTTSAndMCSNoSharedMode confirms the exclusive-only locks reject

@@ -181,7 +181,10 @@ func (c *conn) readLoop() {
 	// Closing respQ is what lets the writer drain and close the
 	// connection.
 	defer close(c.respQ)
-	ctx := locks.NewCtx(c.srv.pool, 8)
+	// The reader runs only GETs and SCANs, whose read paths take no
+	// queue node under any shared-mode scheme: reserve none, so the
+	// connection count is not bounded by the queue-node pool.
+	ctx := locks.NewCtx(c.srv.pool, 0)
 	defer ctx.Close()
 	ctx.SetCounters(c.srv.reg.NewCounters())
 	// Inline reads run on this Ctx, so their lock spans (opportunistic

@@ -1,5 +1,5 @@
 // Portable software-prefetch shim. Go exposes no prefetch intrinsic
-// outside the runtime, so these helpers issue an ordinary speculative
+// outside the runtime, so Prefetch issues an ordinary speculative
 // load of the target line instead: the load starts the cache miss
 // early and the result is discarded. An atomic load is used because
 // the compiler never dead-code-eliminates atomics (they carry memory
@@ -39,17 +39,5 @@ import (
 func Prefetch(p unsafe.Pointer) {
 	if p != nil {
 		atomic.LoadUint64((*uint64)(p))
-	}
-}
-
-// PrefetchU64 warms the cache line containing the given word. The
-// index substrates use it to touch a node's key array — which lives
-// in a different cache line than the lock word the acquire path
-// reads — while the parent's validation is still in flight.
-//
-//optiql:noalloc
-func PrefetchU64(p *uint64) {
-	if p != nil {
-		atomic.LoadUint64(p)
 	}
 }

@@ -14,8 +14,3 @@ import "unsafe"
 //
 //optiql:noalloc
 func Prefetch(p unsafe.Pointer) {}
-
-// PrefetchU64 is a no-op under the race detector.
-//
-//optiql:noalloc
-func PrefetchU64(p *uint64) {}

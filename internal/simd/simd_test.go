@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // naive reference implementations the kernels are differentially
@@ -297,9 +298,8 @@ func TestBoundKernelsTornInput(t *testing.T) {
 
 func TestPrefetchSafety(t *testing.T) {
 	Prefetch(nil)
-	PrefetchU64(nil)
 	x := uint64(42)
-	PrefetchU64(&x)
+	Prefetch(unsafe.Pointer(&x))
 	if x != 42 {
 		t.Fatal("prefetch modified memory")
 	}
