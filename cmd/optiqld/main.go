@@ -52,8 +52,6 @@ func main() {
 		chaos    = flag.String("chaos", "", "fault-injection spec, e.g. 'reset=0.01,latency=0.05:100us-1ms,corrupt=0.001,seed=7' (see internal/faults)")
 		trc      = flag.String("trace", "", "write a Chrome trace_event JSON (load in Perfetto / chrome://tracing) to this path at shutdown")
 		sample   = flag.Int("sample", 0, "trace sampling interval, 1-in-N requests (0 = default 1024 when -trace is set; also enables /debug/contention without -trace)")
-		combine  = flag.Bool("combine", false, "enable the hot-key contention engine: per-shard policies arm flat-combining of same-key write runs under skew")
-		combineT = flag.Float64("combine-threshold", 0, "top-key traffic share that arms a shard's combining (0 = default 0.08; disarms below half)")
 		walDir   = flag.String("wal", "", "write-ahead-log directory; enables durability + crash recovery (empty = in-memory only)")
 		fsync    = flag.String("fsync", "interval", "fsync policy: always (ack per batch fsync), interval (ack on the group-commit fsync that covers the batch), off (OS decides)")
 		fsyncInt = flag.Duration("fsync-interval", 0, "syncer tick: flush cadence of -fsync off; interval-policy acks do not wait for it (0 = wal default 2ms)")
@@ -87,9 +85,6 @@ func main() {
 		InflightMax:  *inflight,
 		Chaos:        chaosCfg,
 		Trace:        traceCfg,
-
-		Combine:          *combine,
-		CombineThreshold: *combineT,
 
 		WALDir:             *walDir,
 		Fsync:              *fsync,
@@ -136,13 +131,6 @@ func main() {
 	}
 	if chaosCfg != nil {
 		fmt.Printf("optiqld: CHAOS MODE: injecting faults on every connection (%s)\n", *chaos)
-	}
-	if *combine {
-		t := *combineT
-		if t <= 0 {
-			t = obs.DefaultCombineThreshold
-		}
-		fmt.Printf("optiqld: contention engine on (combine arms at top-key share %.0f%%)\n", t*100)
 	}
 
 	errc := make(chan error, 1)

@@ -11,10 +11,9 @@ import (
 // batches, plus a FIFO map oracle that yields the expected response for
 // every op. The striped-key Run harness (indextest.go) proves the
 // substrates under real nondeterministic concurrency; SchedProgram
-// instead FIXES the interleaving, so two different executor strategies
-// (FIFO apply vs. flat-combined apply) can be replayed over the exact
-// same schedule and compared op-for-op and state-for-state. The server
-// wires it over both indexes and all schemes in its combine tests.
+// instead FIXES the interleaving, so an executor can be replayed over
+// an exact schedule and checked op-for-op and state-for-state. The
+// server's executor tests wire it over both indexes and all schemes.
 
 // Sched op kinds (the only ops an executor batch carries).
 const (
@@ -24,7 +23,7 @@ const (
 
 // SchedOp is one scheduled client write.
 type SchedOp struct {
-	// Conn is the issuing connection's index in [0, Conns); the
+	// Conn is the issuing connection's index in [0, conns); the
 	// harness's read-your-writes check replays each connection's view.
 	Conn int
 	Op   byte // SchedPut or SchedDelete
@@ -36,8 +35,6 @@ type SchedOp struct {
 // writes partitioned into executor batches. The same seed always yields
 // the same program, so a failure reproduces from its seed alone.
 type SchedProgram struct {
-	Seed    uint64
-	Conns   int
 	HotKeys []uint64
 	Batches [][]SchedOp
 }
@@ -45,8 +42,9 @@ type SchedProgram struct {
 // NewSchedProgram generates a program of nBatches batches of 1..maxBatch
 // ops over conns connections and keys in [1, keySpace]; hotFrac of the
 // ops target the tiny hot set (hotKeys ≥ 1 keys drawn from the space),
-// mimicking the Zipfian regime that arms combining, and ~30% of all ops
-// are DELETEs so runs interleave inserts, overwrites and removals.
+// so same-key runs form within a batch as under Zipfian skew, and ~30%
+// of all ops are DELETEs so runs interleave inserts, overwrites and
+// removals.
 // Values are globally unique, so any last-writer-wins violation is
 // visible in the final state, not just statistically likely.
 func NewSchedProgram(seed uint64, conns, nBatches, maxBatch int, keySpace uint64, hotKeys int, hotFrac float64) *SchedProgram {
@@ -55,7 +53,7 @@ func NewSchedProgram(seed uint64, conns, nBatches, maxBatch int, keySpace uint64
 			conns, nBatches, maxBatch, keySpace, hotKeys))
 	}
 	rng := workload.NewRNG(seed)
-	p := &SchedProgram{Seed: seed, Conns: conns}
+	p := &SchedProgram{}
 	for i := 0; i < hotKeys; i++ {
 		p.HotKeys = append(p.HotKeys, 1+rng.Uint64n(keySpace))
 	}
@@ -85,9 +83,9 @@ func NewSchedProgram(seed uint64, conns, nBatches, maxBatch int, keySpace uint64
 }
 
 // SchedOracle replays a program in FIFO order over a plain map,
-// producing the responses a strictly serial executor would give. Any
-// batching strategy claiming FIFO-equivalent semantics must match it
-// op-for-op and, between batches, state-for-state.
+// producing the responses a strictly serial executor would give. An
+// executor must match it op-for-op and, between batches,
+// state-for-state.
 type SchedOracle struct {
 	m map[uint64]uint64
 	// lastPut[conn] tracks each connection's most recent PUT, for the
@@ -125,15 +123,6 @@ func (o *SchedOracle) Get(key uint64) (uint64, bool) {
 
 // Len returns the oracle's current key count.
 func (o *SchedOracle) Len() int { return len(o.m) }
-
-// Keys returns the oracle's current key set (any order).
-func (o *SchedOracle) Keys() []uint64 {
-	out := make([]uint64, 0, len(o.m))
-	for k := range o.m {
-		out = append(out, k)
-	}
-	return out
-}
 
 // ReadYourWrites checks each connection's view against a read function:
 // for every connection whose most recent PUT's value is still current

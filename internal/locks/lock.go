@@ -170,7 +170,7 @@ func (c *Ctx) Trace() *trace.Buf { return c.tr }
 // TraceRestart records a sampled operation-restart event for the key
 // an index operation is retrying, feeding both the span ring and the
 // hot-key sketch — restart chains on one key are the clearest hot-spot
-// signal the contention engine has.
+// signal the contention profiler has.
 //
 //optiql:noalloc
 func (c *Ctx) TraceRestart(key uint64) {

@@ -104,9 +104,8 @@ const (
 	// observed (each backed off before retrying).
 	EvCliOverloaded
 
-	// The contention-engine events below account for the reaction half
-	// of the hot-key machinery (PR 7): batched lock grants in the queue
-	// layer and flat-combined applies in the server executor.
+	// The batch-grant events below account for queue releases that wake
+	// a whole group of compatible shared waiters at once.
 
 	// EvBatchGrant counts queue releases that granted two or more
 	// compatible shared waiters in a single handover (release-to-many).
@@ -115,13 +114,6 @@ const (
 	// by releases counted in EvBatchGrant. Mean group size is
 	// EvGrantFanout / EvBatchGrant.
 	EvGrantFanout
-	// EvCombinedOps counts queued write operations answered by a
-	// flat-combined apply: ops that were coalesced with other same-key
-	// ops so one tree descent served the whole run.
-	EvCombinedOps
-	// EvCombineDepth counts combined tree descents (one per coalesced
-	// same-key run). Mean run length is EvCombinedOps / EvCombineDepth.
-	EvCombineDepth
 
 	// The durability events below account for the write-ahead log
 	// (internal/wal): the append/group-commit pipeline, recovery replay
@@ -160,8 +152,11 @@ const (
 	NumEvents
 )
 
-// eventNames are the stable identifiers used in JSON reports and as the
-// Prometheus "event" label; snake_case, unique, never renumbered.
+// eventNames are the identifiers used in JSON reports and as the
+// Prometheus "event" label; snake_case and unique. The names are the
+// stable interface: an event keeps its name for life, but its numeric
+// value is only an in-process array index and shifts when an event is
+// removed, so nothing may persist or compare the numbers.
 var eventNames = [NumEvents]string{
 	EvShAcquireFail:   "sh_acquire_fail",
 	EvShValidateFail:  "sh_validate_fail",
@@ -189,8 +184,6 @@ var eventNames = [NumEvents]string{
 	EvCliOverloaded:   "cli_overloaded",
 	EvBatchGrant:      "batch_grant",
 	EvGrantFanout:     "grant_fanout",
-	EvCombinedOps:     "combined_ops",
-	EvCombineDepth:    "combine_depth",
 	EvWalAppendRec:    "wal_append_record",
 	EvWalAppendOps:    "wal_append_ops",
 	EvWalSync:         "wal_fsync",

@@ -45,9 +45,6 @@ type Report struct {
 	HotKeys    []HotKeyReport `json:"hot_keys,omitempty"`
 	HotNodes   []HotKeyReport `json:"hot_nodes,omitempty"`
 	QueueDepth []int64        `json:"queue_depth,omitempty"`
-	// Combine is the contention engine's state and counters (absent
-	// unless the serving side ran with combining compiled in).
-	Combine *CombineReport `json:"combine,omitempty"`
 	// WAL is the durability section (absent unless the serving side ran
 	// with a write-ahead log; see internal/wal).
 	WAL *WALReport `json:"wal,omitempty"`

@@ -14,8 +14,7 @@ type hotItem struct {
 // arrival evicts the current minimum, inheriting its count as the new
 // item's overestimation bound. With k slots the count error is bounded
 // by N/k over N offers, which is ample for "which keys are hot" — the
-// question the contention engine and FB+-tree-style node tuning need
-// answered, not exact frequencies.
+// question the contention profiler answers, not exact frequencies.
 //
 // Counts decay by halving every decayEvery offers so the hot set
 // follows workload shift instead of being dominated by history. The

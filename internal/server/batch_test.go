@@ -9,37 +9,32 @@ import (
 
 	"optiql/internal/indextest"
 	"optiql/internal/locks"
-	"optiql/internal/obs"
 	"optiql/internal/server/wire"
 	"optiql/internal/workload"
 )
 
-// These tests prove the flat-combining executor path equivalent to the
-// seed's FIFO apply loop:
+// These tests hold the shard executor's FIFO apply loop to a serial map
+// oracle:
 //
-//   - TestDeterministicScheduleCombinedVsFIFO replays fixed seeded
-//     schedules (indextest.SchedProgram) through the real applyBatch of
-//     a combined and a FIFO executor and asserts per-op response
-//     equality, oracle agreement, per-connection read-your-writes
-//     between batches and byte-identical final tree state — over both
-//     indexes and every lock scheme.
-//   - TestCombinedApplyPropertyVsOracle submits random programs through
-//     the live executor channel, so batch boundaries (and therefore the
-//     runs applyCombined sees) are nondeterministic, with concurrent
-//     readers hammering the hot keys; FIFO responses must still match
-//     the serial oracle exactly.
-//   - TestCombineThetaSweep checks the policy end-to-end: theta=0.99
-//     Zipfian traffic arms it and combines for real, uniform traffic
-//     never arms, leaves every combine counter at zero and adds zero
-//     allocations over the seed's apply loop.
+//   - TestDeterministicSchedule replays fixed seeded schedules
+//     (indextest.SchedProgram) through the real applyBatch and asserts
+//     per-op response equality, per-connection read-your-writes between
+//     batches and the final tree state — over both indexes and every
+//     lock scheme.
+//   - TestExecutorApplyVsOracle submits random programs through the
+//     live executor channel, so batch boundaries are nondeterministic,
+//     with concurrent readers hammering the hot keys; responses must
+//     still match the serial oracle exactly.
+//   - TestApplyBatchAllocs pins the apply loop at zero allocations per
+//     batch.
 
 // newShardServer builds a single-shard server that never listens: the
 // tests drive its executor directly (applyBatch is synchronous) or
 // through its channel. One shard makes routing deterministic — every
 // key lands on executor 0.
-func newShardServer(t testing.TB, index, scheme string, combine bool) *Server {
+func newShardServer(t testing.TB, index, scheme string) *Server {
 	t.Helper()
-	s, err := New(Config{Index: index, Scheme: scheme, Shards: 1, Combine: combine})
+	s, err := New(Config{Index: index, Scheme: scheme, Shards: 1})
 	if err != nil {
 		t.Skipf("scheme unsupported by substrate: %v", err)
 	}
@@ -78,14 +73,27 @@ func wantResp(op indextest.SchedOp, inserted, found bool) wire.Response {
 	return r
 }
 
-// TestDeterministicScheduleCombinedVsFIFO is the deterministic-schedule
-// harness: the same seeded program replayed batch-for-batch through a
-// combined (policy force-armed on the program's hot keys) and a FIFO
-// executor. The replay is single-threaded — the executor goroutines sit
-// blocked on their empty channels — so even the optimistic schemes run
-// under -race: with no concurrent reader there is no by-design race to
-// flag, and determinism is the point.
-func TestDeterministicScheduleCombinedVsFIFO(t *testing.T) {
+// checkFinalState asserts that the shard's full scan is exactly the
+// oracle's contents.
+func checkFinalState(t *testing.T, s *Server, c *locks.Ctx, oracle *indextest.SchedOracle) {
+	t.Helper()
+	got := s.shards[0].idx.Scan(c, 0, 1<<20, nil)
+	if len(got) != oracle.Len() {
+		t.Fatalf("final state has %d keys, oracle %d", len(got), oracle.Len())
+	}
+	for i, kv := range got {
+		if v, ok := oracle.Get(kv.Key); !ok || v != kv.Value {
+			t.Fatalf("final state wrong at rank %d: index has %+v, oracle has (%d, %v)", i, kv, v, ok)
+		}
+	}
+}
+
+// TestDeterministicSchedule replays one seeded program batch-for-batch
+// through a shard executor's applyBatch. The replay is single-threaded
+// — the executor goroutine sits blocked on its empty channel — so even
+// the optimistic schemes run under -race: with no concurrent reader
+// there is no by-design race to flag, and determinism is the point.
+func TestDeterministicSchedule(t *testing.T) {
 	for _, index := range []string{"btree", "art"} {
 		for _, scheme := range locks.AllNames() {
 			t.Run(index+"/"+scheme, func(t *testing.T) {
@@ -98,79 +106,46 @@ func TestDeterministicScheduleCombinedVsFIFO(t *testing.T) {
 
 func replaySched(t *testing.T, index, scheme string, prog *indextest.SchedProgram) {
 	t.Helper()
-	comb := newShardServer(t, index, scheme, true)
-	fifo := newShardServer(t, index, scheme, false)
-	ce, fe := comb.shards[0].exec, fifo.shards[0].exec
-	ce.pol.Arm(prog.HotKeys...)
+	s := newShardServer(t, index, scheme)
+	e := s.shards[0].exec
 	oracle := indextest.NewSchedOracle()
 	for bi, batch := range prog.Batches {
-		cw, fw := schedOps(batch), schedOps(batch)
-		ce.inflight.Add(int64(len(batch)))
-		fe.inflight.Add(int64(len(batch)))
-		ce.applyBatch(cw)
-		fe.applyBatch(fw)
+		ws := schedOps(batch)
+		e.inflight.Add(int64(len(batch)))
+		e.applyBatch(ws)
 		for i, op := range batch {
 			ins, fnd := oracle.Apply(op)
 			want := wantResp(op, ins, fnd)
-			cg, fg := cw[i].slot, fw[i].slot
-			if cg.Status != fg.Status || cg.Inserted != fg.Inserted {
-				t.Fatalf("batch %d op %d (%+v): combined answered {%d %v}, FIFO {%d %v}",
-					bi, i, op, cg.Status, cg.Inserted, fg.Status, fg.Inserted)
-			}
-			if cg.Status != want.Status || cg.Inserted != want.Inserted {
+			if got := ws[i].slot; got.Status != want.Status || got.Inserted != want.Inserted {
 				t.Fatalf("batch %d op %d (%+v): got {%d %v}, oracle wants {%d %v}",
-					bi, i, op, cg.Status, cg.Inserted, want.Status, want.Inserted)
+					bi, i, op, got.Status, got.Inserted, want.Status, want.Inserted)
 			}
 			select {
-			case <-cw[i].p.ready:
+			case <-ws[i].p.ready:
 			default:
-				t.Fatalf("batch %d op %d: combined apply did not complete the op", bi, i)
+				t.Fatalf("batch %d op %d: apply did not complete the op", bi, i)
 			}
 		}
 		// Between batches every connection must see its own surviving
-		// writes on the combined server.
+		// writes.
 		if msg := oracle.ReadYourWrites(func(k uint64) (uint64, bool) {
-			return comb.shards[0].idx.Lookup(ce.ctx, k)
+			return s.shards[0].idx.Lookup(e.ctx, k)
 		}); msg != "" {
 			t.Fatalf("after batch %d: %s", bi, msg)
 		}
 	}
-	// Final state: combined scan byte-identical to FIFO scan, and both
-	// exactly the oracle's contents.
-	cs := comb.shards[0].idx.Scan(ce.ctx, 0, 1<<20, nil)
-	fs := fifo.shards[0].idx.Scan(fe.ctx, 0, 1<<20, nil)
-	if len(cs) != len(fs) {
-		t.Fatalf("final state diverged: combined has %d keys, FIFO %d", len(cs), len(fs))
-	}
-	for i := range cs {
-		if cs[i] != fs[i] {
-			t.Fatalf("final state diverged at rank %d: combined %+v, FIFO %+v", i, cs[i], fs[i])
-		}
-		if v, ok := oracle.Get(cs[i].Key); !ok || v != cs[i].Value {
-			t.Fatalf("final state wrong at rank %d: index has %+v, oracle has (%d, %v)",
-				i, cs[i], v, ok)
-		}
-	}
-	if len(cs) != oracle.Len() {
-		t.Fatalf("final state has %d keys, oracle %d", len(cs), oracle.Len())
-	}
-	// The schedule is skewed and the policy armed: the equivalence above
-	// must have covered real combined runs, not an accidentally-FIFO path.
-	if got := comb.Counters().Get(obs.EvCombinedOps); got == 0 {
-		t.Fatal("schedule replay never exercised a combined run (combined_ops = 0)")
-	}
+	checkFinalState(t, s, e.ctx, oracle)
 }
 
-// TestCombinedApplyPropertyVsOracle is the randomized half: programs
-// are submitted op-by-op through the live executor channel, so the
-// batch boundaries — and with them which runs applyCombined coalesces —
-// depend on scheduling and differ run to run. A single producer keeps
-// channel order FIFO, so the serial oracle still predicts every
-// response exactly, whatever the batching. Concurrent readers hammer
-// the hot keys on their own Ctx throughout; with the pessimistic
-// schemes this runs under -race, racing real lookups against combined
-// applies.
-func TestCombinedApplyPropertyVsOracle(t *testing.T) {
+// TestExecutorApplyVsOracle is the randomized half: programs are
+// submitted op-by-op through the live executor channel, so the batch
+// boundaries depend on scheduling and differ run to run. A single
+// producer keeps channel order FIFO, so the serial oracle still
+// predicts every response exactly, whatever the batching. Concurrent
+// readers hammer the hot keys on their own Ctx throughout; with the
+// pessimistic schemes this runs under -race, racing real lookups
+// against the executor's applies.
+func TestExecutorApplyVsOracle(t *testing.T) {
 	schemes := []string{"MCS-RW", "pthread"}
 	if !indextest.RaceEnabled {
 		schemes = append(schemes, "OptiQL", "OptLock")
@@ -192,15 +167,14 @@ func TestCombinedApplyPropertyVsOracle(t *testing.T) {
 
 func propertyRun(t *testing.T, index, scheme string, seed uint64) {
 	t.Helper()
-	s := newShardServer(t, index, scheme, true)
+	s := newShardServer(t, index, scheme)
 	e := s.shards[0].exec
 	prog := indextest.NewSchedProgram(seed, 4, 150, 8, 128, 2, 0.6)
-	e.pol.Arm(prog.HotKeys...)
 	oracle := indextest.NewSchedOracle()
 
 	// Readers race against the executor on the hot keys for the whole
 	// submission; their results are unchecked (any interleaving is
-	// legal), they exist to contend on the run-combined nodes.
+	// legal), they exist to contend on the nodes the executor writes.
 	stop := make(chan struct{})
 	var rwg sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -254,209 +228,32 @@ func propertyRun(t *testing.T, index, scheme string, seed uint64) {
 	}
 	c := locks.NewCtx(s.pool, 8)
 	defer c.Close()
-	got := s.shards[0].idx.Scan(c, 0, 1<<20, nil)
-	if len(got) != oracle.Len() {
-		t.Fatalf("final state has %d keys, oracle %d", len(got), oracle.Len())
-	}
-	for _, kv := range got {
-		if v, ok := oracle.Get(kv.Key); !ok || v != kv.Value {
-			t.Fatalf("final state wrong: index has %+v, oracle has (%d, %v)", kv, v, ok)
-		}
-	}
+	checkFinalState(t, s, c, oracle)
 }
 
-// fireOps builds a batch of PUTs over the given keys, all completing
-// against one long-lived pending so applyBatch can run repeatedly.
-func fireOps(keys []uint64, p *pending) []writeOp {
-	ops := make([]writeOp, len(keys))
-	for i, k := range keys {
+// TestApplyBatchAllocs pins the executor's apply loop at zero
+// allocations per batch. Overwrite PUTs over a pre-populated keyspace
+// keep the tree structurally quiescent so only the apply machinery is
+// measured, all completing against one long-lived pending.
+func TestApplyBatchAllocs(t *testing.T) {
+	s := newShardServer(t, "btree", testScheme())
+	e := s.shards[0].exec
+	p := &pending{ready: make(chan struct{})}
+	p.remaining.Store(1 << 30) // never reaches zero: ready is reused across batches
+	rng := workload.NewRNG(7)
+	u := workload.NewUniform(1024)
+	ops := make([]writeOp, e.batchMax)
+	for i := range ops {
+		k := u.Next(rng) + 1
 		ops[i] = writeOp{op: wire.OpPut, key: k, val: k + 1, p: p, slot: &p.resp}
 	}
-	return ops
-}
-
-// TestCombineThetaSweep drives the policy with real key streams instead
-// of force-arming it: theta=0.99 Zipfian traffic must arm combining and
-// produce combined runs; uniform (theta=0) traffic must never arm,
-// leave every combine counter at zero and — the regression pin — add
-// zero allocations per batch over the seed's FIFO apply loop.
-func TestCombineThetaSweep(t *testing.T) {
-	const keyspace = 1024
-	drive := func(t *testing.T, s *Server, dist workload.Distribution, batches int) {
-		e := s.shards[0].exec
-		rng := workload.NewRNG(42)
-		p := &pending{ready: make(chan struct{})}
-		p.remaining.Store(1 << 30) // never reaches zero: ready is reused across batches
-		keys := make([]uint64, e.batchMax)
-		for b := 0; b < batches; b++ {
-			for i := range keys {
-				keys[i] = dist.Next(rng) + 1
-			}
-			ops := fireOps(keys, p)
-			e.inflight.Add(int64(len(ops)))
-			e.applyBatch(ops)
-		}
-	}
-
-	t.Run("theta=0.99", func(t *testing.T) {
-		s := newShardServer(t, "btree", testScheme(), true)
-		drive(t, s, workload.NewZipfian(keyspace, 0.99), 300)
-		e := s.shards[0].exec
-		if !e.pol.Armed() {
-			t.Fatal("zipf(0.99) traffic never armed the combine policy")
-		}
-		snap := s.Counters()
-		if got := snap.Get(obs.EvCombinedOps); got == 0 {
-			t.Fatal("policy armed but no ops were combined (combined_ops = 0)")
-		}
-		if ops, depth := snap.Get(obs.EvCombinedOps), snap.Get(obs.EvCombineDepth); depth == 0 || ops < 2*depth {
-			t.Fatalf("combined runs too shallow: %d ops over %d descents", ops, depth)
-		}
+	e.inflight.Add(int64(len(ops)))
+	e.applyBatch(ops) // pre-populate: later batches are pure overwrites
+	allocs := testing.AllocsPerRun(500, func() {
+		e.inflight.Add(int64(len(ops)))
+		e.applyBatch(ops)
 	})
-
-	t.Run("theta=0", func(t *testing.T) {
-		s := newShardServer(t, "btree", testScheme(), true)
-		drive(t, s, workload.NewUniform(keyspace), 300)
-		e := s.shards[0].exec
-		if e.pol.Armed() {
-			t.Fatal("uniform traffic armed the combine policy")
-		}
-		snap := s.Counters()
-		for _, ev := range []obs.Event{obs.EvCombinedOps, obs.EvCombineDepth, obs.EvBatchGrant, obs.EvGrantFanout} {
-			if got := snap.Get(ev); got != 0 {
-				t.Fatalf("uniform run left %s = %d, want 0", obs.EventNames()[ev], got)
-			}
-		}
-	})
-
-	// The alloc pin: with the policy disarmed the combine-enabled apply
-	// path must allocate exactly what the seed's FIFO loop allocates —
-	// uniform workloads pay nothing for a contention engine they never
-	// trip. Overwrite PUTs over a pre-populated keyspace keep the tree
-	// structurally quiescent so only the apply machinery is measured.
-	t.Run("theta=0/allocs", func(t *testing.T) {
-		measure := func(s *Server) float64 {
-			e := s.shards[0].exec
-			p := &pending{ready: make(chan struct{})}
-			p.remaining.Store(1 << 30)
-			keys := make([]uint64, e.batchMax)
-			rng := workload.NewRNG(7)
-			u := workload.NewUniform(keyspace)
-			for i := range keys {
-				keys[i] = u.Next(rng) + 1
-			}
-			warm := fireOps(keys, p)
-			e.inflight.Add(int64(len(warm)))
-			e.applyBatch(warm) // pre-populate: later batches are pure overwrites
-			ops := fireOps(keys, p)
-			return testing.AllocsPerRun(500, func() {
-				e.inflight.Add(int64(len(ops)))
-				e.applyBatch(ops)
-			})
-		}
-		base := measure(newShardServer(t, "btree", testScheme(), false))
-		comb := measure(newShardServer(t, "btree", testScheme(), true))
-		if comb > base {
-			t.Fatalf("disarmed combine path allocates %.1f/batch, seed FIFO path %.1f — the engine must be free when idle", comb, base)
-		}
-	})
-}
-
-// BenchmarkApplyBatchTheta measures the executor write path — the layer
-// flat combining optimizes — over full batches of write-heavy traffic:
-// ns/op is the cost of one batchMax-op batch through applyBatch (divide
-// by the batch size for per-write cost). At theta=0.99 the combine arm
-// answers each hot-key run with one descent, and deeper batches carry
-// longer runs (the overload regime combining exists for); at theta=0
-// the policy stays disarmed and the two arms must be equal within noise
-// (the "uniform pays nothing" claim, benchstat-comparable).
-func BenchmarkApplyBatchTheta(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		scheme  string
-		ks      uint64
-		theta   float64
-		batch   int
-		combine bool
-	}{
-		// MCS-RW is where combining pays: its lock-coupled exclusive
-		// descents cost several atomic RMWs per node, so eliding a
-		// descent saves real work. ks=512 models one hot shard of a
-		// sharded deployment; batch=256 is the overload regime (longer
-		// runs, more coalescing).
-		{"MCS-RW/theta=0.99/ks=512/batch=64/fifo", "MCS-RW", 512, 0.99, 64, false},
-		{"MCS-RW/theta=0.99/ks=512/batch=64/combine", "MCS-RW", 512, 0.99, 64, true},
-		{"MCS-RW/theta=0.99/ks=512/batch=256/fifo", "MCS-RW", 512, 0.99, 256, false},
-		{"MCS-RW/theta=0.99/ks=512/batch=256/combine", "MCS-RW", 512, 0.99, 256, true},
-		// OptiQL's caveat case: optimistic descents are so cheap that
-		// run bookkeeping shows up — documented in DESIGN §12, kept
-		// here so regressions in either direction are visible.
-		{"OptiQL/theta=0.99/ks=2048/batch=64/fifo", "OptiQL", 2048, 0.99, 64, false},
-		{"OptiQL/theta=0.99/ks=2048/batch=64/combine", "OptiQL", 2048, 0.99, 64, true},
-		// Uniform pays nothing: the policy stays disarmed, so both arms
-		// must be equal within benchstat noise on a full-size tree.
-		{"MCS-RW/theta=0/ks=131072/batch=64/fifo", "MCS-RW", 1 << 17, 0, 64, false},
-		{"MCS-RW/theta=0/ks=131072/batch=64/combine", "MCS-RW", 1 << 17, 0, 64, true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			keyspace := bc.ks
-			s, err := New(Config{Index: "btree", Scheme: bc.scheme, Shards: 1, BatchMax: bc.batch, Combine: bc.combine})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				s.Shutdown(ctx)
-			})
-			e := s.shards[0].exec
-			var dist workload.Distribution = workload.NewUniform(keyspace)
-			if bc.theta > 0 {
-				dist = workload.NewZipfian(keyspace, bc.theta)
-			}
-			rng := workload.NewRNG(42)
-			p := &pending{ready: make(chan struct{})}
-			p.remaining.Store(1 << 30)
-			// Pre-populate the whole keyspace so timed batches are pure
-			// overwrites at realistic tree depth: descent cost, not tree
-			// growth, is what the two arms trade against bookkeeping.
-			seq := make([]uint64, e.batchMax)
-			for lo := uint64(1); lo <= keyspace; lo += uint64(len(seq)) {
-				for j := range seq {
-					seq[j] = lo + uint64(j)
-				}
-				ops := fireOps(seq, p)
-				e.inflight.Add(int64(len(ops)))
-				e.applyBatch(ops)
-			}
-			// Pre-generate a ring of batches so RNG draws stay out of the
-			// timed loop. The combine arm is pinned armed on the zipf head
-			// (rank 0 is hottest; Next's rank + 1 is the key, so keys 1..8
-			// are the top 8): arming-by-traffic is TestCombineThetaSweep's
-			// subject, the benchmark measures the armed steady state.
-			if bc.combine && bc.theta > 0 {
-				e.pol.Arm(1, 2, 3, 4, 5, 6, 7, 8)
-			}
-			const ring = 64
-			batches := make([][]writeOp, ring)
-			for i := range batches {
-				keys := make([]uint64, e.batchMax)
-				for j := range keys {
-					keys[j] = dist.Next(rng) + 1
-				}
-				batches[i] = fireOps(keys, p)
-			}
-			for i := 0; i < 100; i++ {
-				ops := batches[i%ring]
-				e.inflight.Add(int64(len(ops)))
-				e.applyBatch(ops)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ops := batches[i%ring]
-				e.inflight.Add(int64(len(ops)))
-				e.applyBatch(ops)
-			}
-		})
+	if allocs != 0 {
+		t.Fatalf("applyBatch allocates %.1f per batch, want 0", allocs)
 	}
 }

@@ -69,17 +69,6 @@ type Config struct {
 	// hot-key sketches (internal/obs/trace). Its Shards field is
 	// overridden with the server's shard count.
 	Trace *trace.Config
-	// Combine enables the contention engine's reaction half: each
-	// shard's executor runs an obs.CombinePolicy over its write keys
-	// and, while the policy is armed, coalesces same-key runs within a
-	// drained batch into one tree descent (flat-combining). Off by
-	// default; uniform workloads pay only the policy's sampled counter
-	// even when on.
-	Combine bool
-	// CombineThreshold is the top-key traffic share at which a shard's
-	// policy arms (obs.DefaultCombineThreshold when zero). The policy
-	// disarms below half this value (hysteresis).
-	CombineThreshold float64
 	// WALDir, when set, enables the per-shard write-ahead log rooted
 	// there (one subdirectory per shard): startup replays existing
 	// segments into the shards, every executor batch is appended before
@@ -133,6 +122,11 @@ func (c *Config) normalize() error {
 // execQDepth bounds queued writes per shard; a full queue blocks the
 // submitting reader, propagating backpressure to that client.
 const execQDepth = 1024
+
+// execQNodes is each shard executor's queue-node reserve, held for the
+// server's life. New refuses a shard count whose reserves would not fit
+// in the pool rather than letting the pool run dry at start-up.
+const execQNodes = 8
 
 // closedDeadline is a long-expired read deadline, used to unblock
 // readers at shutdown.
@@ -245,6 +239,10 @@ func New(cfg Config) (*Server, error) {
 		reg:    obs.NewRegistry(),
 		conns:  make(map[*conn]struct{}),
 	}
+	if limit := s.pool.Cap() / execQNodes; cfg.Shards > limit {
+		return nil, fmt.Errorf("server: %d shards exceed the queue-node pool: each executor reserves %d of %d nodes (at most %d shards)",
+			cfg.Shards, execQNodes, s.pool.Cap(), limit)
+	}
 	s.resil = s.reg.NewCounters()
 	if cfg.Trace != nil {
 		tc := *cfg.Trace
@@ -269,14 +267,9 @@ func New(cfg Config) (*Server, error) {
 			idx:      idx,
 			ch:       make(chan writeOp, execQDepth),
 			batchMax: cfg.BatchMax,
-			ctx:      locks.NewCtx(s.pool, 8),
+			ctx:      locks.NewCtx(s.pool, execQNodes),
 			srv:      s,
 			tb:       s.tracer.NewBuf(i, i),
-		}
-		if cfg.Combine {
-			e.pol = obs.NewCombinePolicy(cfg.CombineThreshold)
-			e.gid = make([]int32, 0, cfg.BatchMax)
-			e.nxt = make([]int32, cfg.BatchMax)
 		}
 		e.ctx.SetCounters(s.reg.NewCounters())
 		e.ctx.SetTrace(e.tb)
@@ -469,7 +462,7 @@ func (s *Server) Len() int {
 // total and — when tracing is on — the /debug/contention report.
 func (s *Server) AttachLive(src *obs.LiveSource) {
 	src.Set(s.reg.Snapshot, func() uint64 { return s.stats.ops.Load() })
-	if s.tracer != nil || s.cfg.Combine {
+	if s.tracer != nil {
 		src.SetContention(s.Contention)
 	}
 	if s.WALEnabled() {
@@ -482,32 +475,15 @@ func (s *Server) AttachLive(src *obs.LiveSource) {
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // Contention builds the live contention report: the tracer snapshot
-// plus the instantaneous per-shard executor queue depths, and — when
-// the contention engine is on — the combine section (policy arming and
-// batch-grant/flat-combining counters). Nil when both tracing and
-// combining are off.
+// plus the instantaneous per-shard executor queue depths. Nil when
+// tracing is off.
 func (s *Server) Contention() *obs.ContentionReport {
-	if s.tracer == nil && !s.cfg.Combine {
+	if s.tracer == nil {
 		return nil
 	}
 	depths := make([]int64, len(s.shards))
 	for i, sh := range s.shards {
 		depths[i] = sh.exec.inflight.Load()
 	}
-	rep := obs.ContentionFrom(s.tracer, depths)
-	if rep == nil {
-		rep = &obs.ContentionReport{QueueDepth: depths}
-	}
-	if s.cfg.Combine {
-		policies := make([]*obs.CombinePolicy, len(s.shards))
-		threshold := obs.DefaultCombineThreshold
-		for i, sh := range s.shards {
-			policies[i] = sh.exec.pol
-			if t := sh.exec.pol.Threshold(); t > 0 {
-				threshold = t
-			}
-		}
-		rep.Combine = obs.CombineReportFrom(true, threshold, policies, s.reg.Snapshot())
-	}
-	return rep
+	return obs.ContentionFrom(s.tracer, depths)
 }

@@ -5,10 +5,12 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"optiql/internal/core"
 	"optiql/internal/indextest"
 	"optiql/internal/server/wire"
 	"optiql/internal/workload"
@@ -53,6 +55,42 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Scheme: "nope"}); err == nil {
 		t.Fatal("New accepted an unknown scheme")
+	}
+}
+
+// TestShardCountBoundedByPool: every shard executor holds a fixed
+// queue-node reserve, so New must refuse a shard count whose reserves
+// exceed the pool — with an error naming the limit, not a start-up
+// panic — and must start at exactly the limit, WAL checkpointers
+// included (they only scan and reserve nothing).
+func TestShardCountBoundedByPool(t *testing.T) {
+	limit := core.MaxQNodes / execQNodes
+	for _, withWAL := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal=%v", withWAL), func(t *testing.T) {
+			cfg := Config{Shards: 200}
+			if withWAL {
+				cfg.WALDir = t.TempDir()
+			}
+			if s, err := New(cfg); err == nil {
+				s.Shutdown(context.Background())
+				t.Fatal("New accepted 200 shards")
+			} else if want := fmt.Sprintf("at most %d shards", limit); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name the limit (%q)", err, want)
+			}
+			cfg.Shards = limit
+			if withWAL {
+				cfg.WALDir = t.TempDir()
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New at the %d-shard limit: %v", limit, err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := s.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -36,8 +36,10 @@ func (s *Server) openWALs() error {
 		dir := filepath.Join(s.cfg.WALDir, fmt.Sprintf("shard-%03d", i))
 		e := sh.exec
 		// The checkpoint writer scans the shard concurrently with the
-		// executor, so it gets its own Ctx (closed in closeWALs).
-		ckptCtx := locks.NewCtx(s.pool, 8)
+		// executor, so it gets its own Ctx (closed in closeWALs). It only
+		// reads, and no read path takes a pool queue node, so it reserves
+		// none.
+		ckptCtx := locks.NewCtx(s.pool, 0)
 		ckptCtx.SetCounters(s.reg.NewCounters())
 		idx := sh.idx
 		wcfg := wal.Config{
