@@ -135,30 +135,26 @@ func (l *OptiQL) acquireQueue(qnode *QNode) (handover bool) {
 
 // ReleaseEx releases the lock (Algorithm 3, lines 13-23), opening the
 // opportunistic read window while handing over to a queued successor.
-// qnode must be the node passed to the matching AcquireEx. The return
-// value is the handover fanout: 0 when the word was CASed back to the
-// unlocked state, 1 for a single exclusive successor, and k >= 1 when a
-// maximal prefix of k queued-shared waiters was batch-granted.
-func (l *OptiQL) ReleaseEx(qnode *QNode) int {
-	return l.releaseEx(qnode, true)
+// qnode must be the node passed to the matching AcquireEx.
+func (l *OptiQL) ReleaseEx(qnode *QNode) {
+	l.releaseEx(qnode, true)
 }
 
 // ReleaseExNoOR releases the lock without opening the opportunistic
 // read window — the OptiQL-NOR variant evaluated in the paper. Readers
-// can then only be admitted while the queue is completely empty. The
-// return value is the handover fanout, as for ReleaseEx.
-func (l *OptiQL) ReleaseExNoOR(qnode *QNode) int {
-	return l.releaseEx(qnode, false)
+// can then only be admitted while the queue is completely empty.
+func (l *OptiQL) ReleaseExNoOR(qnode *QNode) {
+	l.releaseEx(qnode, false)
 }
 
-func (l *OptiQL) releaseEx(qnode *QNode, opportunistic bool) int {
+func (l *OptiQL) releaseEx(qnode *QNode, opportunistic bool) {
 	version := qnode.version.Load()
 	if qnode.next.Load() == nil {
 		// No known successor: try to return the word to the unlocked
 		// state carrying the new version (lines 14-16). The CAS only
 		// succeeds if we are still the latest requester.
 		if l.word.CompareAndSwap(LockedBit|uint64(qnode.id)<<qidShift, version) {
-			return 0
+			return
 		}
 	}
 	if opportunistic {
@@ -169,142 +165,12 @@ func (l *OptiQL) releaseEx(qnode *QNode, opportunistic bool) int {
 		l.word.Or(OpReadBit | version)
 	}
 	// Wait for the successor to finish linking (lines 20-21), then
-	// grant (line 23) — to the whole compatible prefix at once.
+	// grant it the next version (line 23).
 	var s Spinner
 	for qnode.next.Load() == nil {
 		s.Spin()
 	}
-	return l.grantChain(qnode, version)
-}
-
-// grantChain hands the lock from the releasing holder (whose published
-// version is v) to its queued successor(s). A single exclusive waiter
-// receives v+1, exactly the classic one-at-a-time handover. When the
-// successor is a queued-shared waiter, the release-to-many path walks
-// the maximal prefix of consecutive shared waiters and grants all of
-// them in one pass: they share the lock concurrently at version v
-// (readers do not modify the protected data, so the version must not
-// advance), the prefix tail carries the group's outstanding-release
-// count, and the first incompatible (exclusive) waiter — if any — stays
-// queued behind the group, to be granted v+1 when the group drains.
-//
-// The walked prefix is frozen: a node writes its mode before the Swap
-// that publishes it, links never change once stored, and no waiter in
-// the prefix can leave the queue before being granted. Group state
-// (gTail on every member, shPend on the tail) is fully published before
-// the first grant-store; each member's next pointer is read before its
-// own grant, because a granted member may release and recycle its node
-// immediately.
-//
-// Returns the number of waiters granted.
-func (l *OptiQL) grantChain(h *QNode, v uint64) int {
-	first := h.next.Load()
-	if first.mode != qModeSh {
-		first.version.Store((v + 1) & VersionMask)
-		return 1
-	}
-	tail := first
-	count := 1
-	for {
-		nx := tail.next.Load()
-		if nx == nil || nx.mode != qModeSh {
-			break
-		}
-		tail = nx
-		count++
-	}
-	tail.shPend.Store(int64(count))
-	for m := first; m != tail; m = m.next.Load() {
-		m.gTail = tail
-	}
-	tail.gTail = tail
-	for m := first; ; {
-		nx := m.next.Load()
-		m.version.Store(v)
-		if m == tail {
-			break
-		}
-		m = nx
-	}
-	return count
-}
-
-// AcquireShQueued acquires the lock in queued-shared mode: a
-// pessimistic reader that, instead of spinning on optimistic
-// validation failures, takes a place in the FIFO queue and is granted
-// — together with every compatible neighbour — by a releasing holder's
-// single batch grant. Shared holders do not modify the protected data,
-// so the version is carried through unchanged and optimistic readers
-// validating across a shared hold still succeed.
-//
-// opportunistic controls whether taking the free lock re-opens the
-// opportunistic read window (OptiQL/AOR variants); pass false for NOR.
-// The handover flag reports a queue wait, as for AcquireEx.
-func (l *OptiQL) AcquireShQueued(qnode *QNode, opportunistic bool) (handover bool) {
-	qnode.reset()
-	qnode.mode = qModeSh
-	prev := l.word.Swap(LockedBit | uint64(qnode.id)<<qidShift)
-	if prev&LockedBit == 0 {
-		// The lock was free: hold it as a shared group of one, carrying
-		// the version unchanged. Re-opening the opportunistic window
-		// keeps admitting lock-free readers alongside us; their
-		// snapshots stay valid for as long as no writer swaps in.
-		v := prev & VersionMask
-		qnode.gTail = qnode
-		qnode.shPend.Store(1)
-		if opportunistic {
-			l.word.Or(OpReadBit | v)
-		}
-		qnode.version.Store(v)
-		return false
-	}
-	pred := qnode.pool.At(uint32((prev & QIDMask) >> qidShift))
-	pred.next.Store(qnode)
-	var s Spinner
-	for qnode.version.Load() == InvalidVersion {
-		s.Spin()
-	}
-	return true
-}
-
-// ReleaseShQueued releases a queued-shared hold taken with
-// AcquireShQueued. Non-tail group members simply check out of the
-// group; the tail waits for the group to drain and then performs the
-// structural handover (CAS the word free, or batch-grant the next
-// compatible prefix). opportunistic must match the acquire. Returns
-// the handover fanout, as for ReleaseEx (always 0 for non-tail
-// members).
-func (l *OptiQL) ReleaseShQueued(qnode *QNode, opportunistic bool) int {
-	tail := qnode.gTail
-	if tail != qnode {
-		tail.shPend.Add(-1)
-		return 0
-	}
-	// Group tail: wait until every member (ourselves included) has
-	// checked out, then hand over on the group's behalf.
-	qnode.shPend.Add(-1)
-	var s Spinner
-	for qnode.shPend.Load() != 0 {
-		s.Spin()
-	}
-	v := qnode.version.Load()
-	if qnode.next.Load() == nil {
-		// Shared holds publish the version they inherited, unchanged.
-		// While we are the latest requester the word is our Swap's,
-		// plus the window (OpReadBit | v) if whoever admitted us opened
-		// one after that Swap: we did on the free path, a releasing
-		// writer may have, a releasing shared tail never does. Both
-		// forms say nobody queued behind us.
-		bare := LockedBit | uint64(qnode.id)<<qidShift
-		if l.word.CompareAndSwap(bare, v) ||
-			opportunistic && l.word.CompareAndSwap(bare|OpReadBit|v, v) {
-			return 0
-		}
-	}
-	for qnode.next.Load() == nil {
-		s.Spin()
-	}
-	return l.grantChain(qnode, v)
+	qnode.next.Load().version.Store((version + 1) & VersionMask)
 }
 
 // BumpVersion advances the version field of an unlocked word, failing

@@ -15,15 +15,6 @@ const MaxQNodes = 1 << QIDBits
 // lock by overwriting it with the successor's version number.
 const InvalidVersion = ^uint64(0)
 
-// Queue-node request modes. Nodes reset to qModeEx (the classic OptiQL
-// writer); AcquireShQueued marks its node qModeSh before swapping in,
-// so a releasing holder can classify queued waiters and batch-grant a
-// maximal prefix of compatible shared requesters in one pass.
-const (
-	qModeEx uint32 = iota
-	qModeSh
-)
-
 // QNode is an MCS-style queue node used by queued OptiQL requesters.
 // Unlike a classic MCS node it carries a version number instead of a
 // granted flag: the predecessor passes the lock by storing the
@@ -32,15 +23,6 @@ const (
 //
 // Queue nodes are allocated from a Pool so that their array index can
 // serve as the compact ID embedded in the 8-byte lock word.
-//
-// mode, gTail and shPend support queued-shared requesters (batch
-// grants). mode is plain: the owner writes it before the Swap that
-// publishes the node, and granters read it only after observing the
-// node linked. gTail is plain for the same reason in the other
-// direction: the granter writes it before the version grant-store, and
-// only the node's owner reads it, after observing the grant. shPend is
-// the group's outstanding-release count and lives only on the group
-// tail, decremented by every member.
 //
 //optiql:cacheline
 type QNode struct {
@@ -51,11 +33,7 @@ type QNode struct {
 	freeNext atomic.Uint32 // freelist link (index+1), managed by Pool
 	pool     *Pool
 
-	gTail  *QNode       // shared-group tail, set by the granter pre-grant
-	shPend atomic.Int64 // outstanding group releases (tail node only)
-	mode   uint32       // qModeEx | qModeSh, set by owner pre-Swap
-
-	_ [12]byte // pad to a 64-byte cache line to avoid false sharing
+	_ [32]byte // pad to a 64-byte cache line to avoid false sharing
 }
 
 // ID returns the node's pool-relative identifier, the value embedded in
@@ -69,9 +47,6 @@ func (q *QNode) Pool() *Pool { return q.pool }
 func (q *QNode) reset() {
 	q.next.Store(nil)
 	q.version.Store(InvalidVersion)
-	q.gTail = nil
-	q.shPend.Store(0)
-	q.mode = qModeEx
 }
 
 // Pool is a contiguous, pre-allocated array of queue nodes. The array

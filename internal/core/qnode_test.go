@@ -4,7 +4,14 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+func TestQNodeStaysOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(QNode{}); got != 64 {
+		t.Fatalf("QNode is %d bytes, want exactly one 64-byte cache line", got)
+	}
+}
 
 func TestNewPoolBounds(t *testing.T) {
 	for _, n := range []int{0, -1, MaxQNodes + 1} {

@@ -10,133 +10,6 @@ import (
 	"optiql/internal/obs"
 )
 
-// waitCoreQID spins until the OptiQL word carries the given queue-node
-// ID, i.e. until that requester's tail swap has executed; the tests use
-// it to build wait queues with a deterministic order.
-func waitCoreQID(t *testing.T, l *OptiQLLock, id uint32) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for uint32((l.Core().Word()&core.QIDMask)>>core.VersionBits) != id {
-		if time.Now().After(deadline) {
-			t.Fatalf("lock word never carried qid %d", id)
-		}
-	}
-}
-
-// TestOptiQLBatchGrantWakesPrefixOnce pins the SharedQueuer contract on
-// every OptiQL variant: a release facing the queue [Sh Sh Ex Sh] wakes
-// exactly the compatible prefix {Sh, Sh} — each exactly once, both
-// before the incompatible writer — and the obs counters record one
-// batch grant whose fanout matches.
-func TestOptiQLBatchGrantWakesPrefixOnce(t *testing.T) {
-	for _, name := range []string{"OptiQL", "OptiQL-NOR", "OptiQL-AOR"} {
-		s := schemes[name]
-		t.Run(name, func(t *testing.T) {
-			pool := core.NewPool(16)
-			reg := obs.NewRegistry()
-			l := s.NewLock().(*OptiQLLock)
-
-			holder := newCtx(t, pool)
-			holder.SetCounters(reg.NewCounters())
-			htok := l.AcquireEx(holder)
-			l.CloseWindow(htok) // AOR: close before "modifying"
-
-			type waiter struct {
-				ctx     *Ctx
-				shared  bool
-				woke    atomic.Int32
-				release chan struct{}
-				done    chan struct{}
-			}
-			mk := func(shared bool) *waiter {
-				c := NewCtx(pool, 2)
-				c.SetCounters(reg.NewCounters())
-				t.Cleanup(c.Close)
-				return &waiter{ctx: c, shared: shared, release: make(chan struct{}), done: make(chan struct{})}
-			}
-			s1, s2, w1, s3 := mk(true), mk(true), mk(false), mk(true)
-
-			var wg sync.WaitGroup
-			start := func(w *waiter) {
-				// The next queue position is whatever node the worker's
-				// Ctx hands out: peek it so the queue order can be
-				// confirmed before starting the next waiter.
-				nextID := w.ctx.q[len(w.ctx.q)-1].ID()
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if w.shared {
-						tok := l.AcquireShQueued(w.ctx)
-						w.woke.Add(1)
-						<-w.release
-						l.ReleaseShQueued(w.ctx, tok)
-					} else {
-						tok := l.AcquireEx(w.ctx)
-						w.woke.Add(1)
-						<-w.release
-						l.ReleaseEx(w.ctx, tok)
-					}
-					close(w.done)
-				}()
-				waitCoreQID(t, l, nextID)
-			}
-			start(s1)
-			start(s2)
-			start(w1)
-			start(s3)
-
-			l.ReleaseEx(holder, htok)
-
-			deadline := time.Now().Add(5 * time.Second)
-			for s1.woke.Load() != 1 || s2.woke.Load() != 1 {
-				if time.Now().After(deadline) {
-					t.Fatalf("prefix not fully granted: s1=%d s2=%d", s1.woke.Load(), s2.woke.Load())
-				}
-			}
-			time.Sleep(5 * time.Millisecond)
-			if w1.woke.Load() != 0 || s3.woke.Load() != 0 {
-				t.Fatalf("grant crossed the first incompatible waiter: w1=%d s3=%d",
-					w1.woke.Load(), s3.woke.Load())
-			}
-			snap := reg.Snapshot()
-			if got := snap.Get(obs.EvBatchGrant); got != 1 {
-				t.Fatalf("batch_grant = %d, want 1", got)
-			}
-			if got := snap.Get(obs.EvGrantFanout); got != 2 {
-				t.Fatalf("grant_fanout = %d, want 2", got)
-			}
-
-			// Drain: group -> W1 -> S3; every waiter woke exactly once.
-			close(s1.release)
-			close(s2.release)
-			<-s1.done
-			<-s2.done
-			close(w1.release)
-			<-w1.done
-			close(s3.release)
-			<-s3.done
-			wg.Wait()
-			for _, w := range []*waiter{s1, s2, w1, s3} {
-				if n := w.woke.Load(); n != 1 {
-					t.Fatalf("a waiter woke %d times, want exactly once", n)
-				}
-			}
-			if l.Core().IsLocked() {
-				t.Fatal("lock still held after full drain")
-			}
-			// Singleton handovers (to W1, then to S3) must not count as
-			// batch grants.
-			snap = reg.Snapshot()
-			if got := snap.Get(obs.EvBatchGrant); got != 1 {
-				t.Fatalf("batch_grant after drain = %d, want still 1", got)
-			}
-			if got := snap.Get(obs.EvGrantFanout); got != 2 {
-				t.Fatalf("grant_fanout after drain = %d, want still 2", got)
-			}
-		})
-	}
-}
-
 // TestMCSRWBatchGrantReaderGroup pins the MCS-RW analogue: a writer's
 // release facing [R R R W] admits the whole reader group in one batch
 // grant (fanout 3), all three readers overlap, and the group's closer
@@ -224,25 +97,5 @@ func TestMCSRWBatchGrantReaderGroup(t *testing.T) {
 	}
 	if got := snap.Get(obs.EvGrantFanout); got != uint64(nReaders) {
 		t.Fatalf("grant_fanout = %d, want %d", got, nReaders)
-	}
-}
-
-// TestSharedQueuerSchemes pins which schemes advertise the queued-shared
-// capability: every OptiQL variant's lock implements SharedQueuer (on
-// the same 8-byte word), and a trivial acquire/release round-trips.
-func TestSharedQueuerSchemes(t *testing.T) {
-	pool := core.NewPool(16)
-	for _, name := range []string{"OptiQL", "OptiQL-NOR", "OptiQL-AOR"} {
-		c := newCtx(t, pool)
-		l := schemes[name].NewLock()
-		sq, ok := l.(SharedQueuer)
-		if !ok {
-			t.Fatalf("%s lock does not implement SharedQueuer", name)
-		}
-		tok := sq.AcquireShQueued(c)
-		sq.ReleaseShQueued(c, tok)
-		if l.(*OptiQLLock).Core().IsLocked() {
-			t.Fatalf("%s: lock still held after queued-shared round trip", name)
-		}
 	}
 }

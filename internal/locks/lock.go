@@ -78,36 +78,6 @@ type Lock interface {
 	Pessimistic() bool
 }
 
-// SharedQueuer is implemented by locks whose wait queue admits shared
-// requesters, enabling release-to-many: a single release hands the lock
-// to a maximal prefix of compatible queued-shared waiters in one batch
-// grant. OptiQL implements it via the queued-shared protocol layered on
-// the same 8-byte word (readers carry the version unchanged); MCS-RW's
-// reader groups are the pessimistic analogue and are batch-granted
-// through its ordinary AcquireSh/ReleaseSh.
-type SharedQueuer interface {
-	Lock
-	// AcquireShQueued joins the FIFO wait queue as a shared requester
-	// and blocks until granted (alone, with its compatible neighbours
-	// by a batch grant, or by taking the free lock directly).
-	AcquireShQueued(c *Ctx) Token
-	// ReleaseShQueued ends a queued-shared hold begun with
-	// AcquireShQueued. The last member of a granted group performs the
-	// structural handover on the group's behalf.
-	ReleaseShQueued(c *Ctx, t Token)
-}
-
-// countFanout accounts a release's handover fanout: a release that woke
-// two or more waiters at once is a batch grant.
-//
-//optiql:noalloc
-func countFanout(c *Ctx, fan int) {
-	if fan > 1 {
-		c.Counters().Inc(obs.EvBatchGrant)
-		c.Counters().Add(obs.EvGrantFanout, uint64(fan))
-	}
-}
-
 // Ctx holds the per-thread resources lock operations draw from: OptiQL
 // queue nodes reserved from a core.Pool and locally allocated
 // reader-writer queue nodes. A Ctx must not be used concurrently;
@@ -118,8 +88,7 @@ type Ctx struct {
 	rw   []*rwNode
 	rng  uint64
 	// free is this worker's node-recycling cache: one small stack per
-	// Recycler slot (see recycle.go), flushed to the shared pools on
-	// Close.
+	// Recycler slot (see recycle.go), dropped with the Ctx.
 	free [recycleSlots]freeCache
 	// obs is this worker's event counter set; nil disables counting
 	// (obs.Counters methods are nil-safe no-ops). Lock adapters and the
@@ -231,11 +200,6 @@ func (c *Ctx) Close() {
 	}
 	c.q = nil
 	c.rw = nil
-	for i := range c.free {
-		if c.free[i].owner != nil {
-			c.free[i].flush()
-		}
-	}
 }
 
 // getQ pops a queue node from the reserve, taking one from the pool

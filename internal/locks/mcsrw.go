@@ -161,6 +161,17 @@ func (l *MCSRW) ReleaseEx(c *Ctx, t Token) {
 	c.putRW(t.rw)
 }
 
+// countFanout accounts a release's handover fanout: a release that woke
+// two or more waiters at once (a reader group) is a batch grant.
+//
+//optiql:noalloc
+func countFanout(c *Ctx, fan int) {
+	if fan > 1 {
+		c.Counters().Inc(obs.EvBatchGrant)
+		c.Counters().Add(obs.EvGrantFanout, uint64(fan))
+	}
+}
+
 // structuralRelease performs the MCS-style queue handover from node n,
 // which must be the last node of the finishing group (or the writer).
 // A writer successor is granted alone; a reader successor heads the

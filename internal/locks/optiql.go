@@ -129,52 +129,11 @@ func (l *OptiQLLock) ReleaseEx(c *Ctx, t Token) {
 		// caller path skipped CloseWindow.
 		l.l.CloseWindow()
 	}
-	var fan int
 	if l.mode == orOff {
-		fan = l.l.ReleaseExNoOR(t.q)
+		l.l.ReleaseExNoOR(t.q)
 	} else {
-		fan = l.l.ReleaseEx(t.q)
+		l.l.ReleaseEx(t.q)
 	}
-	countFanout(c, fan)
-	c.putQ(t.q)
-}
-
-// AcquireShQueued joins the writer queue as a pessimistic shared
-// requester (SharedQueuer): instead of optimistic snapshot/validate, the
-// reader takes a queue node and is granted — together with all
-// compatible neighbours, by one batch grant — in FIFO order. Intended
-// for contention fallback: an optimistic reader stuck in a restart
-// storm can queue once and is then immune to further validation
-// failures during its read.
-//
-//optiql:noalloc
-func (l *OptiQLLock) AcquireShQueued(c *Ctx) Token {
-	q := c.getQ()
-	tb := c.tr
-	sampled := tb.Sample()
-	var t0 int64
-	if sampled {
-		t0 = tb.Now()
-	}
-	handover := l.l.AcquireShQueued(q, l.mode != orOff)
-	if sampled {
-		var fl uint8
-		if handover {
-			fl = trace.FlagHandover
-		}
-		tb.LockWait(t0, tb.Now()-t0, fl, lockID(unsafe.Pointer(l)))
-	}
-	return Token{q: q}
-}
-
-// ReleaseShQueued ends a queued-shared hold; the group's last member
-// hands over to the next compatible prefix (counted as a batch grant
-// when the fanout exceeds one).
-//
-//optiql:noalloc
-func (l *OptiQLLock) ReleaseShQueued(c *Ctx, t Token) {
-	fan := l.l.ReleaseShQueued(t.q, l.mode != orOff)
-	countFanout(c, fan)
 	c.putQ(t.q)
 }
 

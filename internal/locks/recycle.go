@@ -1,9 +1,6 @@
 package locks
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Type-stable node recycling (the paper's §6.1 reuse discipline, made
 // explicit). An index that frees nodes during structural modifications
@@ -26,15 +23,17 @@ import (
 //     shared acquisitions block), so reinitialization is race-free for
 //     the schemes the race detector runs.
 //
-// The cache hierarchy mirrors internal/core's qnode pool: a small
-// per-Ctx (per-worker) array absorbs the common split/merge churn with
-// no synchronization, overflowing into a shared sync.Pool.
+// There is one tier: a small per-Ctx (per-worker) stack absorbs the
+// common split/merge churn with no synchronization. A node is only
+// ever reused by the worker that freed it; whatever does not fit (a
+// full stack, a Put without a Ctx, a slot taken over by another
+// Recycler, a closed Ctx) is left to the GC.
 
 const (
 	// recycleSlots is the number of per-Ctx cache slots. Each Recycler
 	// hashes to one slot; a worker driving more Recyclers than slots
-	// (several trees at once) evicts between them through the shared
-	// pools, which is correct, just colder.
+	// (several trees at once) discards a slot's nodes when another
+	// Recycler takes it over, which is correct, just colder.
 	recycleSlots = 8
 	// recycleDepth bounds the nodes one Ctx slot holds. Splits and
 	// merges free at most a handful of nodes per operation, so a short
@@ -45,12 +44,10 @@ const (
 // recyclerSeq assigns each Recycler its Ctx slot round-robin.
 var recyclerSeq atomic.Uint32
 
-// Recycler is a free list for one node class of one tree. Get/Put are
-// cheap when called with the owning worker's Ctx (a slice index and a
-// store); without a Ctx they fall through to the shared sync.Pool.
+// Recycler is a free list for one node class of one tree. Get/Put
+// cost a slice index and a store on the calling worker's Ctx.
 type Recycler struct {
 	slot uint32
-	pool sync.Pool
 }
 
 // NewRecycler creates an empty free list.
@@ -60,54 +57,45 @@ func NewRecycler() *Recycler {
 
 // freeCache is one Ctx slot: a small stack of nodes owned by a single
 // Recycler. The owner tag keeps classes from ever mixing — a slot
-// reused by a different Recycler (another tree, or the other node
-// class) is flushed to its previous owner's shared pool first.
+// taken over by a different Recycler (another tree, or the other node
+// class) drops its previous owner's nodes first.
 type freeCache struct {
 	owner *Recycler
 	n     int
 	items [recycleDepth]any
 }
 
-func (s *freeCache) flush() {
-	for i := 0; i < s.n; i++ {
-		s.owner.pool.Put(s.items[i])
-		s.items[i] = nil
-	}
-	s.n = 0
-}
-
-// Get returns a previously freed node, or nil when the caller must
-// allocate. c may be nil (tree construction paths).
+// Get returns a node this worker freed earlier, or nil when the caller
+// must allocate. c may be nil (tree construction paths), which always
+// yields nil.
 func (r *Recycler) Get(c *Ctx) any {
-	if c != nil {
-		s := &c.free[r.slot]
-		if s.owner == r && s.n > 0 {
-			s.n--
-			x := s.items[s.n]
-			s.items[s.n] = nil
-			return x
-		}
+	if c == nil {
+		return nil
 	}
-	return r.pool.Get()
+	s := &c.free[r.slot]
+	if s.owner != r || s.n == 0 {
+		return nil
+	}
+	s.n--
+	x := s.items[s.n]
+	s.items[s.n] = nil
+	return x
 }
 
-// Put stores a freed node for reuse. The node must be unreachable from
-// the structure and its lock released; the caller is expected to have
-// cleared any child pointers so the pool does not pin subtrees.
+// Put stores a freed node for reuse by the same worker. The node must
+// be unreachable from the structure and its lock released; the caller
+// is expected to have cleared any child pointers so the cache does not
+// pin subtrees. Without a Ctx, or with the slot full, the node is left
+// to the GC.
 func (r *Recycler) Put(c *Ctx, x any) {
 	if c == nil {
-		r.pool.Put(x)
 		return
 	}
 	s := &c.free[r.slot]
 	if s.owner != r {
-		if s.owner != nil {
-			s.flush()
-		}
-		s.owner = r
+		*s = freeCache{owner: r}
 	}
 	if s.n == recycleDepth {
-		r.pool.Put(x)
 		return
 	}
 	s.items[s.n] = x

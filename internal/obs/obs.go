@@ -104,15 +104,16 @@ const (
 	// observed (each backed off before retrying).
 	EvCliOverloaded
 
-	// The batch-grant events below account for queue releases that wake
-	// a whole group of compatible shared waiters at once.
+	// The batch-grant events below account for MCS-RW queue releases
+	// that wake a whole reader group at once. OptiQL readers never
+	// queue, so its releases never count here.
 
-	// EvBatchGrant counts queue releases that granted two or more
-	// compatible shared waiters in a single handover (release-to-many).
+	// EvBatchGrant counts MCS-RW releases that granted two or more
+	// queued readers in a single handover (release-to-many).
 	EvBatchGrant
-	// EvGrantFanout sums the fanout of those batch grants: waiters woken
-	// by releases counted in EvBatchGrant. Mean group size is
-	// EvGrantFanout / EvBatchGrant.
+	// EvGrantFanout sums the fanout of those MCS-RW batch grants:
+	// readers woken by releases counted in EvBatchGrant. Mean group size
+	// is EvGrantFanout / EvBatchGrant.
 	EvGrantFanout
 
 	// The durability events below account for the write-ahead log
