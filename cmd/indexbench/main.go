@@ -239,7 +239,7 @@ func runNet(cfg bench.NetConfig, jsonPath, obsAddr, mixName string) {
 		src := &obs.LiveSource{}
 		cfg.Live = src
 		if tr := cfg.Trace; tr != nil {
-			src.SetContention(func() *obs.ContentionReport { return obs.ContentionFrom(tr, nil) })
+			src.SetContention(func() *obs.ContentionReport { return obs.ContentionFrom(tr) })
 		}
 		_, bound, err := obs.Serve(obsAddr, src)
 		if err != nil {

@@ -17,8 +17,8 @@
 //	indexbench -net 127.0.0.1:4440 -threads 8 -mix balanced -duration 5s
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: accepting stops, every
-// admitted request is answered and the per-shard write batches drain
-// before the process exits.
+// admitted request is answered and the shard logs are sealed before
+// the process exits.
 package main
 
 import (
@@ -43,17 +43,15 @@ func main() {
 		scheme   = flag.String("scheme", "OptiQL", "lock scheme (locks.ByName)")
 		shards   = flag.Int("shards", 4, "number of index partitions")
 		nodeSize = flag.Int("nodesize", 256, "B+-tree node size in bytes")
-		batchMax = flag.Int("batch", 64, "max writes grouped per shard-executor wakeup")
 		obsAddr  = flag.String("obs", "", "serve live /metrics, /debug/vars and /debug/pprof on this address (e.g. :6060)")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 		readTO   = flag.Duration("read-timeout", 0, "per-frame read deadline; idle/slow-loris connections are reaped (0 disables)")
 		writeTO  = flag.Duration("write-timeout", 0, "per-response write deadline; non-reading peers are dropped (0 disables)")
-		inflight = flag.Int("inflight", 0, "per-shard write admission budget; overflow is shed with OVERLOADED (0 = block instead)")
 		chaos    = flag.String("chaos", "", "fault-injection spec, e.g. 'reset=0.01,latency=0.05:100us-1ms,corrupt=0.001,seed=7' (see internal/faults)")
 		trc      = flag.String("trace", "", "write a Chrome trace_event JSON (load in Perfetto / chrome://tracing) to this path at shutdown")
 		sample   = flag.Int("sample", 0, "trace sampling interval, 1-in-N requests (0 = default 1024 when -trace is set; also enables /debug/contention without -trace)")
 		walDir   = flag.String("wal", "", "write-ahead-log directory; enables durability + crash recovery (empty = in-memory only)")
-		fsync    = flag.String("fsync", "interval", "fsync policy: always (ack per batch fsync), interval (ack on the group-commit fsync that covers the batch), off (OS decides)")
+		fsync    = flag.String("fsync", "interval", "fsync policy: always (ack after an fsync per record), interval (ack on the group-commit fsync that covers the record), off (OS decides)")
 		fsyncInt = flag.Duration("fsync-interval", 0, "syncer tick: flush cadence of -fsync off; interval-policy acks do not wait for it (0 = wal default 2ms)")
 		walSeg   = flag.Int64("wal-segment", 0, "segment rotation size in bytes (0 = wal default 64MiB)")
 		walCkpt  = flag.Int64("wal-checkpoint", 0, "sealed bytes between checkpoints (0 = wal default; checkpoints bound replay and reclaim segments)")
@@ -79,10 +77,8 @@ func main() {
 		Scheme:       *scheme,
 		Shards:       *shards,
 		NodeSize:     *nodeSize,
-		BatchMax:     *batchMax,
 		ReadTimeout:  *readTO,
 		WriteTimeout: *writeTO,
-		InflightMax:  *inflight,
 		Chaos:        chaosCfg,
 		Trace:        traceCfg,
 

@@ -1,11 +1,15 @@
 // Package waltest holds the walorder golden cases, shaped after the
-// server's executor: an Index apply must be dominated by a successful
-// wal.Append (or be on the wal-disabled or replay path), and no op may
-// be acked after a successful append unless the durability barrier is
-// accounted for.
+// server's connection write path: an Index apply must be dominated by
+// a successful wal.Append (or be on the wal-disabled or replay path),
+// and no op may be acked after a successful append unless the
+// durability barrier is accounted for.
 package waltest
 
-import "vettest/wal"
+import (
+	"sync"
+
+	"vettest/wal"
+)
 
 // Index mirrors the server's index interface: the apply primitives.
 type Index interface {
@@ -18,186 +22,215 @@ type pending struct{ n int }
 // opDone mirrors the per-op ack: the complete primitive.
 func (p *pending) opDone() { p.n-- }
 
-type writeOp struct {
-	key, val uint64
-	p        *pending
+type write struct{ key, val uint64 }
+
+// ackBatch mirrors the Committer the deferred acks ride: the log calls
+// Committed once the record is durable.
+type ackBatch struct {
+	p *pending
+	n int
 }
 
-type ackBatch struct{ items []*pending }
+func (a *ackBatch) Committed(err error) {
+	for i := 0; i < a.n; i++ {
+		a.p.opDone()
+	}
+}
 
-type executor struct {
-	idx           Index
-	wal           *wal.Log
-	ack           *ackBatch
+type shard struct {
+	idx Index
+	wal *wal.Log
+	mu  sync.Mutex
+}
+
+type conn struct {
 	walDefersAcks bool
 }
 
-// applyAll is the unguarded apply helper (applyBatch's shape): it is
-// not WAL-aware itself, so the ordering obligation lands on callers.
-func (e *executor) applyAll(buf []writeOp) {
-	for i := range buf {
-		w := &buf[i]
-		e.idx.Insert(w.key, w.val)
-		e.complete(w)
-	}
+// applyWrite is the unguarded apply helper: it is not WAL-aware
+// itself, so the ordering obligation lands on its callers.
+func (c *conn) applyWrite(sh *shard, w write) bool {
+	return sh.idx.Insert(w.key, w.val)
 }
 
-// complete parks the ack on the installed batch or acks immediately.
-func (e *executor) complete(w *writeOp) {
-	if e.ack != nil {
-		e.ack.items = append(e.ack.items, w.p)
-		return
+// walOps builds the record for a shard's share of a request.
+func walOps(ws []write) []wal.Op {
+	ops := make([]wal.Op, 0, len(ws))
+	for _, w := range ws {
+		ops = append(ops, wal.Op{Key: w.key, Val: w.val})
 	}
-	w.p.opDone()
+	return ops
 }
 
-// goodExec is the canonical execBatch shape: every path guards the
-// apply and the ack.
-func (e *executor) goodExec(buf []writeOp) {
-	if e.wal == nil {
-		e.applyAll(buf)
-		return
-	}
-	ops := make([]wal.Op, 0, len(buf))
-	for i := range buf {
-		ops = append(ops, wal.Op{Key: buf[i].key, Val: buf[i].val})
-	}
-	seq, err := e.wal.Append(ops)
+// goodCommit is the canonical commitShard shape: append under the
+// shard mutex, apply, note the apply, then ack by policy — directly
+// under the off policy, through Commit's Committer otherwise.
+func (c *conn) goodCommit(sh *shard, p *pending, ws []write) {
+	ops := walOps(ws)
+	sh.mu.Lock()
+	seq, err := sh.wal.Append(ops)
 	if err != nil {
-		for i := range buf {
-			buf[i].p.opDone()
+		sh.mu.Unlock()
+		for range ws {
+			p.opDone()
 		}
 		return
 	}
-	if !e.walDefersAcks {
-		e.applyAll(buf)
-		e.wal.NoteApplied(seq)
+	for _, w := range ws {
+		c.applyWrite(sh, w)
+	}
+	sh.wal.NoteApplied(seq)
+	sh.mu.Unlock()
+	if !c.walDefersAcks {
+		for range ws {
+			p.opDone()
+		}
 		return
 	}
-	ab := &ackBatch{}
-	e.ack = ab
-	e.applyAll(buf)
-	e.ack = nil
-	e.wal.NoteApplied(seq)
-	e.wal.Commit(seq, len(ab.items), nil)
+	sh.wal.Commit(seq, len(ws), &ackBatch{p: p, n: len(ws)})
 }
 
-// flagApplyBeforeAppend applies to the index before the batch is
-// durable in the log: a crash between the two loses the write.
-func (e *executor) flagApplyBeforeAppend(buf []writeOp) {
-	ops := make([]wal.Op, 0, len(buf))
-	for i := range buf {
-		ops = append(ops, wal.Op{Key: buf[i].key, Val: buf[i].val})
+// goodNilWAL is the dispatch shape: a logged shard collects the write
+// for the commit, and the apply runs only on the wal-disabled edge.
+func (c *conn) goodNilWAL(sh *shard, p *pending, w write, logged *[]write) {
+	if sh.wal != nil {
+		*logged = append(*logged, w)
+		return
 	}
-	e.applyAll(buf) // want "index apply is not dominated by a wal.Append"
-	seq, err := e.wal.Append(ops)
+	c.applyWrite(sh, w)
+	p.opDone()
+}
+
+// flagApplyBeforeAppend applies to the index before the record is in
+// the log: a crash between the two loses the write.
+func (c *conn) flagApplyBeforeAppend(sh *shard, ws []write) {
+	ops := walOps(ws)
+	c.applyWrite(sh, ws[0]) // want "index apply is not dominated by a wal.Append"
+	seq, err := sh.wal.Append(ops)
 	if err != nil {
 		return
 	}
-	e.wal.NoteApplied(seq)
+	sh.wal.NoteApplied(seq)
 }
 
 // flagDirectInsert applies outside both the nil-WAL path and any
 // append.
-func (e *executor) flagDirectInsert(k, v uint64) {
-	if e.wal == nil {
-		e.idx.Insert(k, v)
+func (c *conn) flagDirectInsert(sh *shard, k, v uint64) {
+	if sh.wal == nil {
+		sh.idx.Insert(k, v)
 		return
 	}
-	e.idx.Insert(k, v) // want "index apply is not dominated by a wal.Append"
+	sh.idx.Insert(k, v) // want "index apply is not dominated by a wal.Append"
 }
 
-// flagAckWithoutBarrier acks after a successful append with no ack
-// batch, no error unwind and no policy exemption: under a deferring
-// fsync policy the client hears success before the record is stable.
-func (e *executor) flagAckWithoutBarrier(buf []writeOp, ops []wal.Op) {
-	seq, err := e.wal.Append(ops)
+// flagAckWithoutBarrier acks each write as it applies after a
+// successful append, with no error unwind and no policy exemption:
+// under a deferring fsync policy the client hears success before the
+// record is stable.
+func (c *conn) flagAckWithoutBarrier(sh *shard, p *pending, ws []write) {
+	seq, err := sh.wal.Append(walOps(ws))
 	if err != nil {
 		return
 	}
-	for i := range buf {
-		e.idx.Insert(buf[i].key, buf[i].val)
-		buf[i].p.opDone() // want "op completion after a successful wal.Append without the durability barrier"
+	for _, w := range ws {
+		sh.idx.Insert(w.key, w.val)
+		p.opDone() // want "op completion after a successful wal.Append without the durability barrier"
 	}
-	e.wal.NoteApplied(seq)
+	sh.wal.NoteApplied(seq)
 }
 
-// goodAckBatch installs the group-commit batch before applying.
-func (e *executor) goodAckBatch(buf []writeOp, ops []wal.Op) {
-	seq, err := e.wal.Append(ops)
+// flagAckRightAfterAppend acks before the applies even start.
+func (c *conn) flagAckRightAfterAppend(sh *shard, p *pending, ws []write) {
+	seq, err := sh.wal.Append(walOps(ws))
 	if err != nil {
 		return
 	}
-	ab := &ackBatch{}
-	e.ack = ab
-	e.applyAll(buf)
-	e.ack = nil
-	e.wal.Commit(seq, len(ab.items), nil)
+	p.opDone() // want "op completion after a successful wal.Append without the durability barrier"
+	for _, w := range ws {
+		c.applyWrite(sh, w)
+	}
+	sh.wal.Commit(seq, len(ws), &ackBatch{p: p, n: len(ws) - 1})
+}
+
+// flagAckAfterCommit acks once Commit returns: under the interval
+// policy Commit only queues the ticket, so the record is not yet
+// durable.
+func (c *conn) flagAckAfterCommit(sh *shard, p *pending, ws []write) {
+	seq, err := sh.wal.Append(walOps(ws))
+	if err != nil {
+		return
+	}
+	for _, w := range ws {
+		c.applyWrite(sh, w)
+	}
+	sh.wal.Commit(seq, len(ws), nil)
+	p.opDone() // want "op completion after a successful wal.Append without the durability barrier"
 }
 
 // goodOffPolicy takes the non-deferring policy fast path, where acks
 // at apply time are correct by policy.
-func (e *executor) goodOffPolicy(buf []writeOp, ops []wal.Op) {
-	seq, err := e.wal.Append(ops)
+func (c *conn) goodOffPolicy(sh *shard, p *pending, ws []write) {
+	seq, err := sh.wal.Append(walOps(ws))
 	if err != nil {
 		return
 	}
-	if !e.walDefersAcks {
-		for i := range buf {
-			e.idx.Insert(buf[i].key, buf[i].val)
-			buf[i].p.opDone()
+	if !c.walDefersAcks {
+		for _, w := range ws {
+			sh.idx.Insert(w.key, w.val)
+			p.opDone()
 		}
-		e.wal.NoteApplied(seq)
+		sh.wal.NoteApplied(seq)
 	}
 }
 
 // goodPolicyCall observes the policy through a method instead of a
 // field.
-func (e *executor) goodPolicyCall(buf []writeOp, ops []wal.Op, pol interface{ DefersAcks() bool }) {
-	_, err := e.wal.Append(ops)
+func (c *conn) goodPolicyCall(sh *shard, p *pending, ws []write, pol interface{ DefersAcks() bool }) {
+	_, err := sh.wal.Append(walOps(ws))
 	if err != nil {
 		return
 	}
 	if !pol.DefersAcks() {
-		for i := range buf {
-			e.idx.Insert(buf[i].key, buf[i].val)
-			buf[i].p.opDone()
+		for _, w := range ws {
+			sh.idx.Insert(w.key, w.val)
+			p.opDone()
 		}
 	}
 }
 
 // goodErrPath acks on the append-error unwind: the ops fail, and the
 // error answer is the barrier.
-func (e *executor) goodErrPath(buf []writeOp, ops []wal.Op) {
-	_, err := e.wal.Append(ops)
+func (c *conn) goodErrPath(sh *shard, p *pending, ws []write) {
+	seq, err := sh.wal.Append(walOps(ws))
 	if err != nil {
-		for i := range buf {
-			buf[i].p.opDone()
+		for range ws {
+			p.opDone()
 		}
 		return
 	}
-	ab := &ackBatch{}
-	e.ack = ab
-	e.applyAll(buf)
-	e.ack = nil
+	for _, w := range ws {
+		c.applyWrite(sh, w)
+	}
+	sh.wal.Commit(seq, len(ws), &ackBatch{p: p, n: len(ws)})
 }
 
 // goodReplay applies records drawn from the durable log itself: the
 // recovery path is exempt by construction.
-func (e *executor) goodReplay(recs []wal.Op) {
+func (c *conn) goodReplay(sh *shard, recs []wal.Op) {
 	for _, r := range recs {
 		if r.Code == 0 {
-			e.idx.Insert(r.Key, r.Val)
+			sh.idx.Insert(r.Key, r.Val)
 		} else {
-			e.idx.Delete(r.Key)
+			sh.idx.Delete(r.Key)
 		}
 	}
 }
 
-// run drains batches through the fully guarded executor: calling a
-// helper whose applies are internally guarded imposes nothing here.
-func (e *executor) run(batches [][]writeOp) {
-	for _, buf := range batches {
-		e.goodExec(buf)
+// dispatch commits each shard's share through the fully guarded
+// commit: calling a function whose applies are internally guarded
+// imposes nothing here.
+func (c *conn) dispatch(shards []*shard, p *pending, ws []write) {
+	for _, sh := range shards {
+		c.goodCommit(sh, p, ws)
 	}
 }

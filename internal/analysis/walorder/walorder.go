@@ -1,33 +1,43 @@
 // Package walorder verifies the durability ordering of the server's
 // write path on the CFG: an index apply (Insert/Delete through the
 // Index interface) in WAL-aware code must be dominated by a successful
-// wal.Append on the batch — or be on the wal-disabled path or the
+// wal.Append of its record — or be on the wal-disabled path or the
 // recovery/replay path — and no operation may be completed (acked)
 // after a successful Append unless the durability barrier is
-// accounted for: an ack-batch is installed (group commit will ack on
-// Commit), the error path is being unwound, or acks are not deferred
-// by policy (off-policy fast path, where NoteApplied acks on apply).
+// accounted for: the error path is being unwound, or acks are not
+// deferred by policy (the off policy, which acks at apply time). Under
+// a deferring policy the only way to ack an appended write is to hand
+// it to wal.Commit in a Committer, which the log calls once the
+// record is durable; a direct completion anywhere after the append —
+// before the applies, between them, or after Commit returns — is
+// reported.
 //
-// This mechanizes PR 8's ack-implies-durable argument: losing the
+// This mechanizes the ack-implies-durable argument: losing the
 // append-before-apply order can make a crash lose acknowledged writes
 // (apply visible, record not durable), and acking before the barrier
 // under a deferring fsync policy returns success for writes the WAL
 // has not yet made stable.
 //
+// The server keeps the append, NoteApplied, the off-policy completions
+// and Commit in one function (commitShard), so both rules are checked
+// on one CFG; an apply helper's summary carries the append rule to its
+// call site. A closure is checked without its enclosing function's
+// guards, so post-append applies belong in methods, not closures.
+//
 // Guard facts are path-sensitive flags joined by intersection (a
 // guard must hold on every path into the event):
 //
-//	nilWAL    — the WAL is disabled (`e.wal == nil` edge)
+//	nilWAL    — the WAL is disabled (`sh.wal == nil` edge)
 //	appendOK  — a wal.Append happened and its error was checked
 //	errPath   — unwinding a failed Append
 //	offPolicy — the policy's DefersAcks selector was observed false
-//	ackBatch  — an ack-batch is installed in the executor
 //
 // Function summaries (through the vetx facts) carry two bits: whether
 // a function performs an apply that is not internally guarded, and
-// whether it may complete operations — so `run()` calling the fully
-// guarded `execBatch` is unconstrained, while a helper that applies
-// unguarded imposes the append-dominance obligation on its callers.
+// whether it may complete operations — so `dispatch` calling the
+// fully guarded `commitShard` is unconstrained, while a helper that
+// applies unguarded imposes the append-dominance obligation on its
+// callers.
 package walorder
 
 import (
@@ -43,13 +53,13 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "walorder",
-	Doc: `check append-before-apply and ack-after-barrier ordering in the executor
+	Doc: `check append-before-apply and ack-after-barrier ordering on the write path
 
 Every index apply in WAL-aware code must be dominated by a successful
-wal.Append for the batch (or the wal-disabled or replay path), and no
-op completion may follow a successful append unless the group-commit
-ack batch is installed, the error path is unwinding, or the fsync
-policy does not defer acks.`,
+wal.Append of its record (or the wal-disabled or replay path), and no
+op completion may follow a successful append unless the error path is
+unwinding or the fsync policy does not defer acks; deferred acks go
+through wal.Commit's Committer.`,
 	Collect: collect,
 	Run:     run,
 }
@@ -62,7 +72,6 @@ const (
 	gAppendOK
 	gErrPath
 	gOffPolicy
-	gAckBatch
 )
 
 // wstate is the dataflow state: must-hold guards plus the set of
@@ -125,7 +134,7 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			e.analyze(fd.Body, true)
-			// Function literals (replay closures, combiner bodies) are
+			// Function literals (replay closures, deferred recovers) are
 			// their own little CFGs.
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
@@ -363,7 +372,7 @@ func (a *wfa) transfer(n ast.Node, s *wstate) *wstate {
 }
 
 func (a *wfa) assign(n *ast.AssignStmt, s *wstate) {
-	// seq, err := e.wal.Append(ops)
+	// seq, err := sh.wal.Append(ops)
 	if len(n.Rhs) == 1 {
 		if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
 			a.call(call, s)
@@ -383,21 +392,7 @@ func (a *wfa) assign(n *ast.AssignStmt, s *wstate) {
 	for _, rhs := range n.Rhs {
 		a.call(rhs, s)
 	}
-	for i, lhs := range n.Lhs {
-		// Installing/clearing the executor's ack batch.
-		if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && sel.Sel.Name == "ack" {
-			isNil := false
-			if i < len(n.Rhs) {
-				if id, ok := ast.Unparen(n.Rhs[i]).(*ast.Ident); ok && id.Name == "nil" {
-					isNil = true
-				}
-			}
-			if isNil {
-				s.g &^= gAckBatch
-			} else {
-				s.g |= gAckBatch
-			}
-		}
+	for _, lhs := range n.Lhs {
 		// Reassigning a tracked error variable kills it.
 		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 			delete(s.errs, id.Name)
@@ -458,7 +453,7 @@ func (a *wfa) applyEvent(call *ast.CallExpr, s *wstate) {
 	}
 	a.sum.appliesUnguarded = true
 	if a.aware {
-		a.flag(call.Pos(), "index apply is not dominated by a wal.Append for this batch (nor on the wal-disabled or replay path): a crash here loses an acknowledged write")
+		a.flag(call.Pos(), "index apply is not dominated by a wal.Append of its record (nor on the wal-disabled or replay path): a crash here loses an acknowledged write")
 	}
 }
 
@@ -471,10 +466,10 @@ func (a *wfa) completeEvent(pos token.Pos, s *wstate) {
 	if s.g&gAppendOK == 0 {
 		return // nothing was appended on this path; no barrier due
 	}
-	if s.g&(gOffPolicy|gAckBatch|gErrPath) != 0 {
+	if s.g&(gOffPolicy|gErrPath) != 0 {
 		return
 	}
-	a.flag(pos, "op completion after a successful wal.Append without the durability barrier: install the ack batch, unwind the error, or take the non-deferring policy path")
+	a.flag(pos, "op completion after a successful wal.Append without the durability barrier: ack through wal.Commit's Committer, unwind the error, or take the non-deferring policy path")
 }
 
 // replayArgs reports whether the apply draws from a wal.Op record —
@@ -525,7 +520,7 @@ func (a *wfa) refine(cond ast.Expr, truth bool, s *wstate) {
 			a.refineCompare(e, truth, s)
 		}
 	case *ast.SelectorExpr:
-		// Policy check: `e.srv.walDefersAcks` / `pol.DefersAcks`.
+		// Policy check: `s.walDefersAcks` / `pol.DefersAcks`.
 		if strings.Contains(e.Sel.Name, "efersAcks") && !truth {
 			s.g |= gOffPolicy
 		}
@@ -551,7 +546,7 @@ func (a *wfa) refineCompare(e *ast.BinaryExpr, truth bool, s *wstate) {
 		other = y
 	}
 	isNil := (e.Op == token.EQL) == truth
-	// `e.wal == nil`: the wal-disabled path.
+	// `sh.wal == nil`: the wal-disabled path.
 	if t := a.e.pass.Info.TypeOf(other); t != nil && isWalLog(t) {
 		if isNil {
 			s.g |= gNilWAL

@@ -46,6 +46,12 @@ import (
 	"optiql/internal/simd"
 )
 
+// WriteQNodes is the most pool queue nodes one write holds at once
+// under the OptiQL schemes: a delete holds its node and the parent,
+// and compressPath then upgrades the node's inner child too. Inserts
+// hold at most a node and its parent.
+const WriteQNodes = 3
+
 type kind uint8
 
 const (

@@ -280,7 +280,7 @@ func MeasureIndex(cfg IndexConfig, idx Index, pool *core.Pool) (IndexResult, err
 		if cfg.Trace != nil {
 			tr := cfg.Trace
 			cfg.Live.SetContention(func() *obs.ContentionReport {
-				return obs.ContentionFrom(tr, nil)
+				return obs.ContentionFrom(tr)
 			})
 		}
 	}

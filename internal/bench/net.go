@@ -191,7 +191,7 @@ func (r NetResult) Report(tool string) *obs.Report {
 		rep.Extra["overloaded"] = r.Overloaded
 		rep.Extra["reconn"] = r.Reconn
 	}
-	rep.AttachContention(obs.ContentionFrom(r.Config.Trace, nil))
+	rep.AttachContention(obs.ContentionFrom(r.Config.Trace))
 	return rep
 }
 

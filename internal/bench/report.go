@@ -28,7 +28,7 @@ func (r IndexResult) Report(tool string) *obs.Report {
 	if r.Obs != nil {
 		rep.Counters = r.Obs.Map()
 	}
-	rep.AttachContention(obs.ContentionFrom(r.Config.Trace, nil))
+	rep.AttachContention(obs.ContentionFrom(r.Config.Trace))
 	return rep
 }
 

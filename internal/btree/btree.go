@@ -39,6 +39,12 @@ const entryBytes = 16
 // fanout 14).
 const DefaultNodeSize = 256
 
+// WriteQNodes is the most pool queue nodes one write holds at once
+// under the OptiQL schemes, where only leaves carry OptiQL locks
+// (Section 6.1): its leaf, plus a sibling leaf when a delete
+// rebalances. Inner-node locks, however many a split holds, take none.
+const WriteQNodes = 2
+
 // Config parameterizes a Tree.
 type Config struct {
 	// Scheme selects the locking scheme; required.

@@ -7,15 +7,15 @@ import (
 )
 
 // This file is the deterministic-schedule half of the harness: seeded,
-// replayable programs of client writes pre-partitioned into executor
-// batches, plus a FIFO map oracle that yields the expected response for
-// every op. The striped-key Run harness (indextest.go) proves the
-// substrates under real nondeterministic concurrency; SchedProgram
-// instead FIXES the interleaving, so an executor can be replayed over
-// an exact schedule and checked op-for-op and state-for-state. The
-// server's executor tests wire it over both indexes and all schemes.
+// replayable programs of client writes pre-partitioned into batches,
+// plus a FIFO map oracle that yields the expected response for every
+// op. The striped-key Run harness (indextest.go) proves the substrates
+// under real nondeterministic concurrency; SchedProgram instead FIXES
+// the interleaving, so a write path can be replayed over an exact
+// schedule and checked op-for-op and state-for-state. The server's
+// write-path tests wire it over both indexes and all schemes.
 
-// Sched op kinds (the only ops an executor batch carries).
+// Sched op kinds (the only ops a program carries).
 const (
 	SchedPut byte = iota
 	SchedDelete
@@ -32,7 +32,7 @@ type SchedOp struct {
 }
 
 // SchedProgram is a seeded program: a fixed interleaving of connection
-// writes partitioned into executor batches. The same seed always yields
+// writes partitioned into batches. The same seed always yields
 // the same program, so a failure reproduces from its seed alone.
 type SchedProgram struct {
 	HotKeys []uint64
@@ -83,8 +83,8 @@ func NewSchedProgram(seed uint64, conns, nBatches, maxBatch int, keySpace uint64
 }
 
 // SchedOracle replays a program in FIFO order over a plain map,
-// producing the responses a strictly serial executor would give. An
-// executor must match it op-for-op and, between batches,
+// producing the responses a strictly serial write path would give. A
+// write path must match it op-for-op and, between batches,
 // state-for-state.
 type SchedOracle struct {
 	m map[uint64]uint64

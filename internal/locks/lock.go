@@ -174,10 +174,9 @@ func (c *Ctx) Rand() uint64 {
 // NewCtx reserves nq queue nodes from pool for this thread's lock
 // operations; nq = 0 reserves none. The reserve grows on demand: a
 // queue-based acquire that finds it empty takes a node from the pool,
-// and the Ctx keeps that node until Close. A Ctx that only ever reads
-// (a connection's reader, a lookup worker) therefore holds no pool
-// nodes at all; index operations hold at most two queue-based locks
-// at once (Section 6.1), so a writer's reserve levels off at two.
+// and the Ctx keeps that node until Close or Unreserve. A Ctx that
+// only ever reads (a connection's reader, a lookup worker) therefore
+// holds no pool nodes at all.
 func NewCtx(pool *core.Pool, nq int) *Ctx {
 	c := &Ctx{pool: pool}
 	c.rng = uint64(ctxSeq.Add(1))*0x9E3779B97F4A7C15 | 1
@@ -195,11 +194,34 @@ func NewCtx(pool *core.Pool, nq int) *Ctx {
 // Close returns the reserved queue nodes, including any taken on
 // demand, to the pool. The Ctx must not be used afterwards.
 func (c *Ctx) Close() {
+	c.Unreserve()
+	c.q = nil
+	c.rw = nil
+}
+
+// Reserve tops the queue-node reserve up to n nodes with
+// core.Pool.TryGet, so an operation holding at most n queue-based
+// locks never reaches the pool mid-acquire. If the pool runs short it
+// returns every reserved node and reports false.
+func (c *Ctx) Reserve(n int) bool {
+	for len(c.q) < n {
+		q, ok := c.pool.TryGet()
+		if !ok {
+			c.Unreserve()
+			return false
+		}
+		c.q = append(c.q, q)
+	}
+	return true
+}
+
+// Unreserve returns the reserved queue nodes to the pool; nodes in use
+// by held locks are not in the reserve.
+func (c *Ctx) Unreserve() {
 	for _, q := range c.q {
 		c.pool.Put(q)
 	}
-	c.q = nil
-	c.rw = nil
+	c.q = c.q[:0]
 }
 
 // getQ pops a queue node from the reserve, taking one from the pool

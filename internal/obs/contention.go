@@ -23,13 +23,10 @@ type ShardContention struct {
 	LockWait *LatencyReport `json:"lock_wait,omitempty"`
 	// HotKeys ranks the shard's hottest keys from sampled operations.
 	HotKeys []HotKeyReport `json:"hot_keys,omitempty"`
-	// QueueDepth is the shard executor's queued-write gauge at scrape
-	// time.
-	QueueDepth int64 `json:"queue_depth"`
 }
 
 // ContentionReport is the JSON shape of /debug/contention and of the
-// LockWait/HotKeys/QueueDepth sections in run reports: where lock time
+// LockWait/HotKeys sections in run reports: where lock time
 // goes and which keys/nodes it goes to, from the sampled trace layer.
 type ContentionReport struct {
 	// SampleEvery is the sampling interval: every count below
@@ -47,8 +44,6 @@ type ContentionReport struct {
 	// the same tree node).
 	HotKeys  []HotKeyReport `json:"hot_keys,omitempty"`
 	HotNodes []HotKeyReport `json:"hot_nodes,omitempty"`
-	// QueueDepth is the per-shard executor queue gauge.
-	QueueDepth []int64 `json:"queue_depth,omitempty"`
 	// Shards breaks the above down per shard (omitted for single-shard
 	// tracers, where it would repeat the top level).
 	Shards []ShardContention `json:"shards,omitempty"`
@@ -91,11 +86,9 @@ func hotKeyReports(items []trace.HotItem) []HotKeyReport {
 	return out
 }
 
-// ContentionFrom snapshots a tracer into the report shape. depths,
-// when non-nil, is the per-shard queue-depth gauge sampled by the
-// caller (the tracer does not know about executor queues). Nil tracer
+// ContentionFrom snapshots a tracer into the report shape. Nil tracer
 // means tracing is off: the report is nil.
-func ContentionFrom(t *trace.Tracer, depths []int64) *ContentionReport {
+func ContentionFrom(t *trace.Tracer) *ContentionReport {
 	if t == nil {
 		return nil
 	}
@@ -107,19 +100,14 @@ func ContentionFrom(t *trace.Tracer, depths []int64) *ContentionReport {
 		LockWait:    LatencyReportFrom(&s.Wait),
 		HotKeys:     hotKeyReports(s.Keys),
 		HotNodes:    hotKeyReports(s.Nodes),
-		QueueDepth:  depths,
 	}
 	if len(s.Shards) > 1 {
 		for i := range s.Shards {
-			sc := ShardContention{
+			rep.Shards = append(rep.Shards, ShardContention{
 				Shard:    i,
 				LockWait: LatencyReportFrom(&s.Shards[i].Wait),
 				HotKeys:  hotKeyReports(s.Shards[i].Keys),
-			}
-			if i < len(depths) {
-				sc.QueueDepth = depths[i]
-			}
-			rep.Shards = append(rep.Shards, sc)
+			})
 		}
 	}
 	return rep
@@ -134,5 +122,4 @@ func (r *Report) AttachContention(cr *ContentionReport) {
 	r.LockWait = cr.LockWait
 	r.HotKeys = cr.HotKeys
 	r.HotNodes = cr.HotNodes
-	r.QueueDepth = cr.QueueDepth
 }

@@ -123,7 +123,7 @@ const (
 	// EvWalAppendRec counts record batches appended to a WAL.
 	EvWalAppendRec
 	// EvWalAppendOps counts individual operations appended to a WAL
-	// (each record carries one executor batch's worth).
+	// (each record carries one request's writes to one shard).
 	EvWalAppendOps
 	// EvWalSync counts fsyncs issued by the group-commit machinery
 	// (ticks, always-policy batches and segment seals alike).

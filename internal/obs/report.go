@@ -38,13 +38,12 @@ type Report struct {
 	// Latency is the sampled latency distribution (absent unless the
 	// run collected latencies).
 	Latency *LatencyReport `json:"latency,omitempty"`
-	// LockWait, HotKeys, HotNodes and QueueDepth are the contention
-	// profiler's sections (absent unless the run traced; see
-	// AttachContention and internal/obs/trace).
-	LockWait   *LatencyReport `json:"lock_wait,omitempty"`
-	HotKeys    []HotKeyReport `json:"hot_keys,omitempty"`
-	HotNodes   []HotKeyReport `json:"hot_nodes,omitempty"`
-	QueueDepth []int64        `json:"queue_depth,omitempty"`
+	// LockWait, HotKeys and HotNodes are the contention profiler's
+	// sections (absent unless the run traced; see AttachContention and
+	// internal/obs/trace).
+	LockWait *LatencyReport `json:"lock_wait,omitempty"`
+	HotKeys  []HotKeyReport `json:"hot_keys,omitempty"`
+	HotNodes []HotKeyReport `json:"hot_nodes,omitempty"`
 	// WAL is the durability section (absent unless the serving side ran
 	// with a write-ahead log; see internal/wal).
 	WAL *WALReport `json:"wal,omitempty"`

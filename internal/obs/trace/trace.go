@@ -69,14 +69,9 @@ const (
 	// KindReqDecode is the server parsing one request frame
 	// (Flags = opcode, ID = request span).
 	KindReqDecode
-	// KindReqQueue is a write's wait in a shard executor queue
-	// (Flags = opcode, ID = request span).
-	KindReqQueue
-	// KindReqExec is the index call itself — an inline read on the
-	// connection goroutine or an executor write (Flags = opcode).
+	// KindReqExec is the index call itself, run on the connection
+	// goroutine (ID = request span, Key = the operation's key).
 	KindReqExec
-	// KindExecBatch is one executor drain batch (Key = batch size).
-	KindExecBatch
 	// KindReqWrite is encoding and writing one response
 	// (ID = request span).
 	KindReqWrite
@@ -101,9 +96,7 @@ var kindNames = [numKinds]string{
 	KindOpRestart:         "op.restart",
 	KindTreeOp:            "tree.op",
 	KindReqDecode:         "req.decode",
-	KindReqQueue:          "req.queue",
 	KindReqExec:           "req.exec",
-	KindExecBatch:         "exec.batch",
 	KindReqWrite:          "req.write",
 	KindFault:             "fault",
 	KindCliRetry:          "cli.retry",

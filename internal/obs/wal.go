@@ -16,7 +16,7 @@ type WALReport struct {
 	Dir string `json:"dir,omitempty"`
 
 	// AppendedRecords / AppendedOps / AppendedBytes count the append
-	// stream since startup (one record per executor batch).
+	// stream since startup (one record per request per shard).
 	AppendedRecords uint64 `json:"appended_records"`
 	AppendedOps     uint64 `json:"appended_ops"`
 	AppendedBytes   uint64 `json:"appended_bytes"`

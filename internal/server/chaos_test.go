@@ -301,161 +301,87 @@ func runChaosWorker(w int, addr string, ops int, corrupt bool, model map[uint64]
 	return nil
 }
 
-// TestServerSurvivesHandlerPanic injects panics into both handler
-// paths — the inline read path on the connection goroutine and the
-// write path inside a shard executor — and checks each is answered
-// with StatusErr while the process keeps serving.
+// TestServerSurvivesHandlerPanic injects panics into the read path and
+// the write path, both run on the connection goroutine, and checks the
+// one contract for both: the op is answered with StatusErr, that
+// connection closes (its state is suspect), and the process keeps
+// serving new connections.
 func TestServerSurvivesHandlerPanic(t *testing.T) {
 	const boom = uint64(0xDEAD)
 	srv, addr := startServer(t, Config{Shards: 2})
-	srv.hooks.panicKey.Store(boom)
-
-	cl, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	srv.panicKey.Store(boom)
+	dial := func() *wire.Client {
+		t.Helper()
+		cl, err := wire.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
 	}
-	defer cl.Close()
-
-	// Executor-side panic: answered with StatusErr, and the connection
-	// survives (the executor recovered, nothing else broke).
-	resp, err := cl.Do(wire.Put(boom, 1))
-	if err != nil {
-		t.Fatalf("put on panic key: %v", err)
-	}
-	if resp.Status != wire.StatusErr || !strings.Contains(resp.Err, "internal error") {
-		t.Fatalf("put on panic key = %+v", resp)
-	}
-	if resp, err = cl.Do(wire.Put(7, 70)); err != nil || resp.Status != wire.StatusOK {
-		t.Fatalf("put after recovered executor panic = %+v, %v", resp, err)
-	}
-	if resp, err = cl.Do(wire.Get(7)); err != nil || resp.Value != 70 {
-		t.Fatalf("get after recovered executor panic = %+v, %v", resp, err)
-	}
-
-	// Read-path panic: answered with StatusErr, then the connection is
-	// closed (its state is suspect) — but only that connection.
-	if resp, err = cl.Do(wire.Get(boom)); err != nil {
-		t.Fatalf("get on panic key: %v", err)
-	} else if resp.Status != wire.StatusErr || !strings.Contains(resp.Err, "internal error") {
-		t.Fatalf("get on panic key = %+v", resp)
-	}
-	if _, err = cl.Do(wire.Get(7)); err == nil {
-		t.Fatal("connection stayed open after a read-path panic")
+	// panicThenClosed sends req, expects its internal-error answer, and
+	// then finds the connection closed.
+	panicThenClosed := func(cl *wire.Client, req wire.Request) {
+		t.Helper()
+		resp, err := cl.Do(req)
+		if err != nil {
+			t.Fatalf("%+v on panic key: %v", req, err)
+		}
+		if resp.Status != wire.StatusErr || !strings.Contains(resp.Err, "internal error") {
+			t.Fatalf("%+v on panic key = %+v", req, resp)
+		}
+		if _, err = cl.Do(wire.Get(7)); err == nil {
+			t.Fatalf("connection stayed open after a panic on %+v", req)
+		}
 	}
 
-	// Batch with a panicking sub-op: earlier sub-ops complete, later
-	// ones are aborted, the envelope still arrives.
-	cl2, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	panicThenClosed(dial(), wire.Put(boom, 1))
+	cl := dial()
+	if resp, err := cl.Do(wire.Put(7, 70)); err != nil || resp.Status != wire.StatusOK {
+		t.Fatalf("put after a recovered write panic = %+v, %v", resp, err)
 	}
-	defer cl2.Close()
-	b, err := cl2.Do(wire.Batch(wire.Put(8, 80), wire.Get(boom), wire.Put(9, 90)))
-	if err != nil {
-		t.Fatalf("batch with panic: %v", err)
+	if resp, err := cl.Do(wire.Get(7)); err != nil || resp.Value != 70 {
+		t.Fatalf("get after a recovered write panic = %+v, %v", resp, err)
 	}
-	if len(b.Sub) != 3 ||
-		b.Sub[0].Status != wire.StatusOK ||
-		b.Sub[1].Status != wire.StatusErr ||
-		b.Sub[2].Status != wire.StatusErr || !strings.Contains(b.Sub[2].Err, "aborted") {
-		t.Fatalf("batch subs = %+v", b.Sub)
+	panicThenClosed(cl, wire.Get(boom))
+
+	// Batches with a panicking sub-op, read or write: earlier sub-ops
+	// complete, later ones are aborted, the envelope still arrives.
+	for i, mid := range []wire.Request{wire.Get(boom), wire.Put(boom, 1)} {
+		k := uint64(8 + 2*i)
+		b, err := dial().Do(wire.Batch(wire.Put(k, k*10), mid, wire.Put(k+1, 1)))
+		if err != nil {
+			t.Fatalf("batch with panic: %v", err)
+		}
+		if len(b.Sub) != 3 ||
+			b.Sub[0].Status != wire.StatusOK ||
+			b.Sub[1].Status != wire.StatusErr ||
+			b.Sub[2].Status != wire.StatusErr || !strings.Contains(b.Sub[2].Err, "aborted") {
+			t.Fatalf("batch subs = %+v", b.Sub)
+		}
 	}
 
 	// The process survived it all; fresh connections work and the
 	// damage is fully accounted.
-	srv.hooks.panicKey.Store(0)
-	cl3, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl3.Close()
-	if resp, err = cl3.Do(wire.Get(8)); err != nil || resp.Value != 80 {
-		t.Fatalf("get(8) after panics = %+v, %v", resp, err)
-	}
-	if resp, err = cl3.Do(wire.Get(9)); err != nil || resp.Status != wire.StatusNotFound {
-		t.Fatalf("aborted batch sub-op was applied anyway: %+v, %v", resp, err)
-	}
-	if st := srv.Stats(); st.Panics != 3 {
-		t.Fatalf("panics = %d, want 3", st.Panics)
-	}
-	if n := srv.Counters().Map()["srv_panic_recovered"]; n != 3 {
-		t.Fatalf("srv_panic_recovered counter = %d, want 3", n)
-	}
-}
-
-// TestAdmissionControlSheds slows the executor to a crawl, floods one
-// shard past its in-flight budget and checks the overflow is answered
-// with StatusOverloaded (not queued, not blocked) — and that a
-// ReconnClient rides the shed out with backoff until admitted.
-func TestAdmissionControlSheds(t *testing.T) {
-	srv, addr := startServer(t, Config{Shards: 1, InflightMax: 4})
-	srv.hooks.execDelay.Store(int64(150 * time.Millisecond))
-
-	cl, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	const flood = 12
-	for i := 0; i < flood; i++ {
-		if err := cl.Send(wire.Put(uint64(i+1), uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the flood has demonstrably saturated the budget (the
-	// first shed happens while the first slow write still executes, so
-	// the queue stays over budget for a while yet).
-	for deadline := time.Now().Add(2 * time.Second); srv.Stats().Shed == 0; {
-		if time.Now().After(deadline) {
-			t.Fatalf("flood never triggered shedding: %+v", srv.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// While the queue is saturated, a self-healing client's write is
-	// shed and then retried until the backlog drains.
-	rc := &wire.ReconnClient{Addr: addr, BackoffMin: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond, MaxRetries: 50}
-	defer rc.Close()
-	resp, err := rc.Do(wire.Put(1000, 1))
-	if err != nil || resp.Status != wire.StatusOK {
-		t.Fatalf("reconn put through overload = %+v, %v", resp, err)
-	}
-	if st := rc.Stats(); st.Overloaded == 0 {
-		t.Fatalf("reconn client never saw StatusOverloaded: %+v", st)
-	}
-
-	okCount, shedCount := 0, 0
-	for i := 0; i < flood; i++ {
-		resp, err := cl.Recv()
+	srv.panicKey.Store(0)
+	cl3 := dial()
+	for k := uint64(8); k <= 11; k++ {
+		resp, err := cl3.Do(wire.Get(k))
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch resp.Status {
-		case wire.StatusOK:
-			okCount++
-		case wire.StatusOverloaded:
-			shedCount++
-		default:
-			t.Fatalf("flood put %d = %+v", i, resp)
+		if k%2 == 0 && resp.Value != k*10 {
+			t.Fatalf("get(%d) after panics = %+v", k, resp)
+		}
+		if k%2 == 1 && resp.Status != wire.StatusNotFound {
+			t.Fatalf("aborted batch sub-op %d was applied anyway: %+v", k, resp)
 		}
 	}
-	if okCount == 0 || shedCount == 0 {
-		t.Fatalf("ok=%d shed=%d: admission control did not degrade partially", okCount, shedCount)
+	if st := srv.Stats(); st.Panics != 4 {
+		t.Fatalf("panics = %d, want 4", st.Panics)
 	}
-	srv.hooks.execDelay.Store(0)
-	st := srv.Stats()
-	if st.Shed != uint64(shedCount)+rc.Stats().Overloaded {
-		t.Fatalf("server shed %d, clients observed %d", st.Shed, shedCount+int(rc.Stats().Overloaded))
-	}
-	// Shed writes were really not applied: resident keys = applied puts.
-	if applied := okCount + 1; srv.Len() != applied {
-		t.Fatalf("resident keys = %d, want %d (a shed write was applied, or an admitted one lost)", srv.Len(), applied)
-	}
-	if n := srv.Counters().Map()["srv_overload_shed"]; n != st.Shed {
-		t.Fatalf("srv_overload_shed counter = %d, stats say %d", n, st.Shed)
+	if n := srv.Counters().Map()["srv_panic_recovered"]; n != 4 {
+		t.Fatalf("srv_panic_recovered counter = %d, want 4", n)
 	}
 }
 

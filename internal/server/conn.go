@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"os"
@@ -14,6 +13,7 @@ import (
 	"optiql/internal/obs"
 	"optiql/internal/obs/trace"
 	"optiql/internal/server/wire"
+	"optiql/internal/wal"
 )
 
 // pending is one admitted request travelling from the reader to the
@@ -28,7 +28,7 @@ type pending struct {
 	// span is the request's trace-tree ID: connection ID and request
 	// sequence packed by the reader when its sampler fired, 0 when the
 	// request is unsampled (or tracing is off). Every phase span of
-	// this request — decode, queue, execute, write — carries it, so
+	// this request — decode, execute, write — carries it, so
 	// the Chrome export stitches one wire request into one tree.
 	span uint64
 	// scanBufs holds the pooled buffers whose storage the response's
@@ -36,40 +36,6 @@ type pending struct {
 	// Appended only by the reader goroutine before opDone, read by the
 	// writer after ready closes.
 	scanBufs []*scanBuf
-	// applied closes once every write routed from this request has been
-	// applied to its shard index. Allocated only when a WAL defers ready
-	// past the apply (ready then waits on the group-commit fsync);
-	// read-your-writes needs the apply, not the durability, so reads
-	// wait here instead of stalling their pipeline behind an fsync.
-	// appliedLeft counts routed-but-unapplied writes plus one routing
-	// hold, released when the reader finishes dispatching the request —
-	// without the hold, a batch's first write could close the channel
-	// before its second write was routed.
-	applied     chan struct{}
-	appliedLeft atomic.Int32
-}
-
-// noteApplied marks one routed write as applied to its index.
-func (p *pending) noteApplied() {
-	if p.applied != nil && p.appliedLeft.Add(-1) == 0 {
-		close(p.applied)
-	}
-}
-
-// noteRouted records a write handed to a shard executor. Reader
-// goroutine only, before the executor send.
-func (p *pending) noteRouted() {
-	if p.applied != nil {
-		p.appliedLeft.Add(1)
-	}
-}
-
-// routingDone releases the routing hold once the reader has dispatched
-// the whole request.
-func (p *pending) routingDone() {
-	if p.applied != nil && p.appliedLeft.Add(-1) == 0 {
-		close(p.applied)
-	}
 }
 
 // release returns the pooled scan buffers backing this response. The
@@ -109,18 +75,17 @@ func (p *pending) opDone() {
 }
 
 // conn is one client connection: a reader goroutine that decodes,
-// admits and dispatches requests (executing reads inline on its own
-// Ctx, funneling writes to the shard executors) and a writer goroutine
+// admits and executes requests on its own Ctx, and a writer goroutine
 // that streams responses back in request order.
 type conn struct {
 	srv   *Server
 	nc    net.Conn
 	respQ chan *pending
-	// lastWrite[i] is the most recent pending with a write routed to
-	// shard i from this connection, giving cross-request
-	// read-your-writes: reads on shard i first wait for it. Reader
-	// goroutine only.
-	lastWrite []*pending
+	// logged collects the current request's writes to WAL shards until
+	// dispatch appends and applies them shard by shard; walOps is the
+	// record scratch for one shard's share. Reader goroutine only.
+	logged []loggedWrite
+	walOps []wal.Op
 	// id is the connection's process-unique sequence number; reqSeq
 	// counts admitted requests (reader goroutine only). Together they
 	// form sampled requests' span IDs.
@@ -147,11 +112,10 @@ func (s *Server) serveConn(nc net.Conn) {
 	// *net.TCPConn through any chaos wrapper).
 	wire.TuneTCP(nc)
 	c := &conn{
-		srv:       s,
-		nc:        nc,
-		respQ:     make(chan *pending, respQDepth),
-		lastWrite: make([]*pending, len(s.shards)),
-		id:        s.connSeq.Add(1),
+		srv:   s,
+		nc:    nc,
+		respQ: make(chan *pending, respQDepth),
+		id:    s.connSeq.Add(1),
 	}
 	c.tb = s.getConnBuf(int(c.id))
 	s.mu.Lock()
@@ -181,14 +145,14 @@ func (c *conn) readLoop() {
 	// Closing respQ is what lets the writer drain and close the
 	// connection.
 	defer close(c.respQ)
-	// The reader runs only GETs and SCANs, whose read paths take no
-	// queue node under any shared-mode scheme: reserve none, so the
-	// connection count is not bounded by the queue-node pool.
+	// Reads take no queue node and a write holds its reserve only while
+	// its request runs, so the queue-node pool does not bound the
+	// connection count.
 	ctx := locks.NewCtx(c.srv.pool, 0)
 	defer ctx.Close()
 	ctx.SetCounters(c.srv.reg.NewCounters())
-	// Inline reads run on this Ctx, so their lock spans (opportunistic
-	// admits, read validation failures) land in the connection buffer.
+	// Requests run on this Ctx, so their lock spans land in the
+	// connection buffer.
 	ctx.SetTrace(c.tb)
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	var fb wire.FrameBuf
@@ -220,10 +184,6 @@ func (c *conn) readLoop() {
 			return
 		}
 		p := newPending(req)
-		if c.srv.walDefersAcks {
-			p.applied = make(chan struct{})
-			p.appliedLeft.Store(1)
-		}
 		c.reqSeq++
 		if sampled {
 			// Nonzero by construction: connection IDs start at 1.
@@ -266,49 +226,52 @@ func (c *conn) fail(err error) {
 	c.respQ <- p
 }
 
-// dispatch routes one admitted request, reporting false if a handler
-// panic was contained while doing so. Reads (GET, SCAN) execute
-// inline on the reader's Ctx — optimistic shared acquisitions make
-// them safely concurrent with the shard executors — after waiting out
-// any older write this connection has in flight on the same shard.
-// Writes are handed to the shard executors. A batch's sub-operations
-// are routed individually and may execute in any order relative to
-// each other (its reads are not guaranteed to observe its writes);
-// the batch response is sent only when all of them have completed.
+// dispatch executes one admitted request on the reader's Ctx,
+// reporting false if a handler panic was contained while doing so.
+// Every op runs inline, so a later request on this connection sees
+// this one's writes in program order. With a WAL the request's writes
+// are collected and then appended and applied shard by shard
+// (commitLogged), after its reads: a batch's reads need not observe
+// its own writes.
 func (c *conn) dispatch(ctx *locks.Ctx, p *pending) bool {
-	defer p.routingDone()
+	ok := true
 	if p.req.Op == wire.OpBatch {
 		c.srv.stats.batches.Add(1)
 		for i := range p.req.Sub {
 			if !c.dispatchOne(ctx, p, &p.req.Sub[i], &p.resp.Sub[i]) {
-				// A sub-operation panicked before the rest were routed:
-				// complete them with StatusErr so the batch response (and
-				// Shutdown) never waits on slots nothing will fill.
+				// A sub-operation panicked: complete the rest with
+				// StatusErr so the batch response (and Shutdown) never
+				// waits on slots nothing will fill.
 				for j := i + 1; j < len(p.req.Sub); j++ {
 					p.resp.Sub[j].Status = wire.StatusErr
 					p.resp.Sub[j].Err = "aborted: earlier operation in batch panicked"
 					p.opDone()
 				}
-				return false
+				ok = false
+				break
 			}
 		}
-		return true
+	} else {
+		ok = c.dispatchOne(ctx, p, &p.req, &p.resp)
 	}
-	return c.dispatchOne(ctx, p, &p.req, &p.resp)
+	if len(c.logged) > 0 && !c.commitLogged(ctx, p) {
+		ok = false
+	}
+	// A connection holds no queue node between requests.
+	ctx.Unreserve()
+	return ok
 }
 
-// dispatchOne routes one operation and reports whether it completed
-// without a handler panic. A panic inside an index call (a bug, or
-// the chaos tests' injected one) is contained here: the slot is
-// answered with StatusErr and accounted, so the client gets a
-// response and the process survives.
+// dispatchOne executes (or, for a logged write, collects) one
+// operation and reports whether it ran without a handler panic. A
+// panic inside an index call (a bug, or the chaos tests' injected one)
+// is contained here: the slot is answered with StatusErr and
+// accounted, so the client gets a response and the process survives.
 func (c *conn) dispatchOne(ctx *locks.Ctx, p *pending, req *wire.Request, slot *wire.Response) (ok bool) {
 	s := c.srv
 	defer func() {
 		if r := recover(); r != nil {
-			slot.Status = wire.StatusErr
-			slot.Err = fmt.Sprintf("internal error: %v", r)
-			s.noteRecoveredPanic()
+			s.answerPanic(slot, r)
 			p.opDone()
 			ok = false
 		}
@@ -316,15 +279,13 @@ func (c *conn) dispatchOne(ctx *locks.Ctx, p *pending, req *wire.Request, slot *
 	switch req.Op {
 	case wire.OpGet:
 		si := s.shardIdx(req.Key)
-		// The inline-read execute span covers the read-your-writes wait
-		// plus the lookup — the request's whole server-side service
-		// time after decode.
+		// The inline-read execute span covers the lookup — the
+		// request's whole server-side service time after decode.
 		var t0 int64
 		if p.span != 0 {
 			t0 = c.tb.Now()
 			c.tb.NoteKey(si, req.Key)
 		}
-		c.waitWrite(si, p)
 		s.maybePanic(req.Key)
 		if v, ok := s.shards[si].idx.Lookup(ctx, req.Key); ok {
 			slot.Status = wire.StatusOK
@@ -343,9 +304,6 @@ func (c *conn) dispatchOne(ctx *locks.Ctx, p *pending, req *wire.Request, slot *
 		if p.span != 0 {
 			t0 = c.tb.Now()
 		}
-		for si := range s.shards {
-			c.waitWrite(si, p)
-		}
 		pairs, sb := s.scanAll(ctx, req.Key, int(req.Max))
 		slot.Status = wire.StatusOK
 		slot.Pairs = pairs
@@ -358,33 +316,25 @@ func (c *conn) dispatchOne(ctx *locks.Ctx, p *pending, req *wire.Request, slot *
 		p.opDone()
 	case wire.OpPut, wire.OpDelete:
 		si := s.shardIdx(req.Key)
-		ex := s.shards[si].exec
-		if c.walGate(si, p, slot) {
-			// Answered here: the shard's log is poisoned (StatusErr) or
-			// its fsync queue is over budget (StatusOverloaded).
+		sh := s.shards[si]
+		if s.writeQNodes > 0 && !ctx.Reserve(s.writeQNodes) {
+			// The queue-node pool cannot cover this write: shed it before
+			// it touches the index, not in the middle of an acquire.
+			c.shed(p, slot)
 			return true
 		}
-		if max := int64(s.cfg.InflightMax); max > 0 && ex.inflight.Load() >= max {
-			// Admission control: the shard's queue is over budget, so shed
-			// this write instead of queuing (or blocking) behind it. The
-			// client is told explicitly — StatusOverloaded is safe to
-			// retry after backing off. lastWrite is NOT updated: nothing
-			// was queued, so reads have nothing new to wait for.
-			slot.Status = wire.StatusOverloaded
-			s.stats.shed.Add(1)
-			s.resil.Inc(obs.EvSrvShed)
-			p.opDone()
+		if sh.wal != nil {
+			if c.walGate(sh, p, slot) {
+				// Answered here: the shard's log is poisoned (StatusErr)
+				// or its fsync queue is over budget (StatusOverloaded).
+				return true
+			}
+			c.logged = append(c.logged, loggedWrite{si: si, req: req, slot: slot})
 			return true
 		}
-		ex.inflight.Add(1)
-		p.noteRouted()
-		wo := writeOp{op: req.Op, key: req.Key, val: req.Value, p: p, slot: slot}
-		if p.span != 0 {
-			wo.span = p.span
-			wo.enq = c.tb.Now()
-		}
-		ex.ch <- wo
-		c.lastWrite[si] = p
+		ok = c.applyWrite(ctx, sh.idx, p, si, req, slot)
+		p.opDone()
+		return ok
 	default:
 		slot.Status = wire.StatusErr
 		slot.Err = "unsupported opcode"
@@ -394,22 +344,48 @@ func (c *conn) dispatchOne(ctx *locks.Ctx, p *pending, req *wire.Request, slot *
 	return true
 }
 
-// waitWrite blocks until this connection's latest write on shard si
-// (if any) has executed, unless that write belongs to p itself (a
-// batch mixing a read after a write on one shard would otherwise wait
-// on its own completion). With a WAL the wait is on the apply, not the
-// ack: the write is in the index (and in the log, ahead of its fsync)
-// once applied closes, which is all read-your-writes needs — waiting
-// on ready would park every read behind a group-commit fsync and
-// serialize the connection's pipeline at fsync granularity.
-func (c *conn) waitWrite(si int, p *pending) {
-	if lw := c.lastWrite[si]; lw != nil && lw != p {
-		if lw.applied != nil {
-			<-lw.applied
-		} else {
-			<-lw.ready
+// shed answers one write StatusOverloaded without applying it.
+func (c *conn) shed(p *pending, slot *wire.Response) {
+	slot.Status = wire.StatusOverloaded
+	c.srv.stats.shed.Add(1)
+	c.srv.resil.Inc(obs.EvSrvShed)
+	p.opDone()
+}
+
+// applyWrite runs one PUT or DELETE on shard si's index and fills its
+// slot; the caller completes the op, since with a WAL the ack waits
+// for the log. A panic is contained per op: the slot is answered
+// StatusErr and false tells the caller to close the connection.
+func (c *conn) applyWrite(ctx *locks.Ctx, idx Index, p *pending, si int, req *wire.Request, slot *wire.Response) (ok bool) {
+	s := c.srv
+	defer func() {
+		if r := recover(); r != nil {
+			s.answerPanic(slot, r)
+			ok = false
 		}
+	}()
+	var t0 int64
+	if p.span != 0 {
+		t0 = c.tb.Now()
+		c.tb.NoteKey(si, req.Key)
 	}
+	s.maybePanic(req.Key)
+	if req.Op == wire.OpPut {
+		slot.Status = wire.StatusOK
+		slot.Inserted = idx.Insert(ctx, req.Key, req.Value)
+		s.stats.puts.Add(1)
+	} else {
+		slot.Status = wire.StatusNotFound
+		if idx.Delete(ctx, req.Key) {
+			slot.Status = wire.StatusOK
+		}
+		s.stats.deletes.Add(1)
+	}
+	if p.span != 0 {
+		c.tb.Record(trace.KindReqExec, 0, t0, c.tb.Now()-t0, p.span, req.Key)
+	}
+	s.stats.ops.Add(1)
+	return true
 }
 
 func (c *conn) writeLoop() {

@@ -1,16 +1,17 @@
 // Package server exposes the OptiQL index substrates as a sharded
 // network key-value service: a TCP listener speaking the
 // length-prefixed binary protocol of internal/server/wire, a shard
-// router over N independent index instances, per-shard batching write
-// executors and per-connection pipelined read loops.
+// router over N independent index instances and per-connection
+// pipelined request loops.
 //
-// The sharding and batching put the lock protocols where they pay off:
-// reads run concurrently on the connection goroutines (optimistic
-// shared acquisitions), while each shard's writes are funneled through
-// one executor goroutine that drains whole groups of queued mutations
-// per wakeup. Graceful shutdown stops accepting, unblocks idle
-// readers, lets every admitted request complete and drains the
-// executor queues — an in-flight batch is never dropped.
+// Each connection's reader runs its requests on its own lock context,
+// reads and writes alike. Without a write-ahead log, concurrent writers
+// from different connections meet on the index's locks — the case the
+// OptiQL queue and handover exist for. With one, a request's writes
+// are appended and applied per shard under that shard's mutex, and
+// their acks ride the log's group commit. Graceful shutdown stops
+// accepting, unblocks idle readers and lets every admitted request
+// complete before it seals the logs.
 package server
 
 import (
@@ -22,11 +23,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"optiql/internal/art"
+	"optiql/internal/btree"
 	"optiql/internal/core"
 	"optiql/internal/faults"
 	"optiql/internal/locks"
 	"optiql/internal/obs"
 	"optiql/internal/obs/trace"
+	"optiql/internal/server/wire"
 )
 
 // Config parameterizes a Server.
@@ -41,9 +45,6 @@ type Config struct {
 	Shards int
 	// NodeSize is the B+-tree node size in bytes (btree only).
 	NodeSize int
-	// BatchMax caps how many queued writes one executor wakeup groups
-	// (default 64).
-	BatchMax int
 	// ReadTimeout bounds how long the server waits for a complete
 	// request frame: connections idle longer are reaped and slow-loris
 	// peers (trickling a frame forever) cannot pin a goroutine. Zero
@@ -53,13 +54,6 @@ type Config struct {
 	// reading gets its connection dropped instead of wedging the
 	// writer. Zero disables the bound.
 	WriteTimeout time.Duration
-	// InflightMax, when positive, is the per-shard admission budget:
-	// writes arriving while that many are already queued on the shard
-	// are shed with wire.StatusOverloaded instead of queuing (bounded
-	// degradation under oversubscription — the TXSQL move). Zero keeps
-	// the seed behavior: a full executor queue blocks the submitting
-	// connection, pushing backpressure to that client.
-	InflightMax int
 	// Chaos, when it enables any fault, wraps the listener and every
 	// accepted connection with the fault-injection layer (used by
 	// `optiqld -chaos` and the chaos e2e tests).
@@ -71,8 +65,9 @@ type Config struct {
 	Trace *trace.Config
 	// WALDir, when set, enables the per-shard write-ahead log rooted
 	// there (one subdirectory per shard): startup replays existing
-	// segments into the shards, every executor batch is appended before
-	// it is applied, and client acks wait for the Fsync policy.
+	// segments into the shards, a request's writes to a shard are
+	// appended as one record before they are applied, and client acks
+	// wait for the Fsync policy.
 	WALDir string
 	// Fsync is the WAL ack policy: wal.SyncAlways, wal.SyncInterval
 	// (default) or wal.SyncOff. Ignored without WALDir.
@@ -113,20 +108,8 @@ func (c *Config) normalize() error {
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 64
-	}
 	return nil
 }
-
-// execQDepth bounds queued writes per shard; a full queue blocks the
-// submitting reader, propagating backpressure to that client.
-const execQDepth = 1024
-
-// execQNodes is each shard executor's queue-node reserve, held for the
-// server's life. New refuses a shard count whose reserves would not fit
-// in the pool rather than letting the pool run dry at start-up.
-const execQNodes = 8
 
 // closedDeadline is a long-expired read deadline, used to unblock
 // readers at shutdown.
@@ -152,8 +135,9 @@ type Stats struct {
 	// Panics counts handler panics recovered (each answered with
 	// StatusErr; the process survived all of them).
 	Panics uint64 `json:"panics"`
-	// Shed counts writes answered with StatusOverloaded by admission
-	// control instead of being queued.
+	// Shed counts writes answered with StatusOverloaded instead of
+	// being applied: the WAL's fsync queue was over budget, or the
+	// queue-node pool could not cover the write.
 	Shed uint64 `json:"shed"`
 	// Reaped counts connections closed by the read deadline (idle or
 	// slow-loris peers).
@@ -169,10 +153,13 @@ type Server struct {
 	reg    *obs.Registry
 	shards []*shard
 	inj    *faults.Injector
+	// writeQNodes is the most pool queue nodes one write holds at once
+	// (0 when the scheme's writers take none); a write reserves them
+	// before it touches the index.
+	writeQNodes int
 	// walDefersAcks is true when the WAL policy parks write acks on a
-	// later fsync (interval/always): only then do pendings carry the
-	// applied barrier that lets reads pass waiting acks. Under off (or
-	// no WAL) acks land at apply time and ready doubles as the barrier.
+	// later fsync (interval/always). Under off (or no WAL) acks land at
+	// apply time.
 	walDefersAcks bool
 	// resil is the dedicated counter set for server-level resilience
 	// events (recovered panics, sheds, reaped connections).
@@ -193,41 +180,34 @@ type Server struct {
 	mu      sync.Mutex
 	conns   map[*conn]struct{}
 	closing atomic.Bool
-	closeEx sync.Once
 
 	connWG sync.WaitGroup
-	execWG sync.WaitGroup
 
 	stats serverStats
-	hooks testHooks
-}
-
-// testHooks are in-package fault hooks the chaos tests use to inject
-// failures the transport layer cannot: a key whose operations panic
-// inside the handler, and an artificial per-write executor delay that
-// builds a standing queue so admission control has something to shed.
-// Both are inert (zero) outside tests.
-type testHooks struct {
-	panicKey  atomic.Uint64 // panic on ops touching this key (0 = off)
-	execDelay atomic.Int64  // ns slept per executor write (0 = off)
+	// panicKey is the chaos tests' in-package fault hook: operations on
+	// this key panic inside the handler (0 = off, always outside tests).
+	panicKey atomic.Uint64
 }
 
 // maybePanic fires the injected handler panic for key k.
 func (s *Server) maybePanic(k uint64) {
-	if pk := s.hooks.panicKey.Load(); pk != 0 && pk == k {
+	if pk := s.panicKey.Load(); pk != 0 && pk == k {
 		panic(fmt.Sprintf("injected handler panic on key %#x", k))
 	}
 }
 
-// noteRecoveredPanic accounts one survived handler panic.
-func (s *Server) noteRecoveredPanic() {
+// answerPanic answers slot for a recovered handler panic r and
+// accounts it.
+func (s *Server) answerPanic(slot *wire.Response, r any) {
+	slot.Status = wire.StatusErr
+	slot.Err = fmt.Sprintf("internal error: %v", r)
 	s.stats.panics.Add(1)
 	s.stats.errors.Add(1)
 	s.resil.Inc(obs.EvSrvPanic)
 }
 
-// New builds the shards and starts their write executors. The server
-// does not accept connections until Listen/Start.
+// New builds the shards and, with a WAL, replays the logs into them.
+// The server does not accept connections until Listen/Start.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -239,9 +219,11 @@ func New(cfg Config) (*Server, error) {
 		reg:    obs.NewRegistry(),
 		conns:  make(map[*conn]struct{}),
 	}
-	if limit := s.pool.Cap() / execQNodes; cfg.Shards > limit {
-		return nil, fmt.Errorf("server: %d shards exceed the queue-node pool: each executor reserves %d of %d nodes (at most %d shards)",
-			cfg.Shards, execQNodes, s.pool.Cap(), limit)
+	if s.scheme.QueueWriters {
+		s.writeQNodes = btree.WriteQNodes
+		if cfg.Index == "art" {
+			s.writeQNodes = art.WriteQNodes
+		}
 	}
 	s.resil = s.reg.NewCounters()
 	if cfg.Trace != nil {
@@ -263,28 +245,12 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := &executor{
-			idx:      idx,
-			ch:       make(chan writeOp, execQDepth),
-			batchMax: cfg.BatchMax,
-			ctx:      locks.NewCtx(s.pool, execQNodes),
-			srv:      s,
-			tb:       s.tracer.NewBuf(i, i),
-		}
-		e.ctx.SetCounters(s.reg.NewCounters())
-		e.ctx.SetTrace(e.tb)
-		s.shards = append(s.shards, &shard{idx: idx, exec: e})
+		s.shards = append(s.shards, &shard{idx: idx})
 	}
-	// Recovery replays into the shard indexes on the executors' Ctxs, so
-	// it runs before the executor goroutines start.
 	if cfg.WALDir != "" {
 		if err := s.openWALs(); err != nil {
 			return nil, err
 		}
-	}
-	for _, sh := range s.shards {
-		s.execWG.Add(1)
-		go sh.exec.run()
 	}
 	return s, nil
 }
@@ -384,13 +350,12 @@ func (s *Server) Start() (net.Addr, error) {
 
 // Shutdown gracefully stops the server: it stops accepting, unblocks
 // readers waiting for new requests, waits for every admitted request
-// to be executed and answered, then drains and stops the shard
-// executors. Requests a client has sent but the server has not yet
-// read may go unanswered (clients wanting a clean drain should
-// half-close and read to EOF); requests admitted — including every
-// write queued at an executor — are always completed. Returns
-// ctx.Err() if the context expires first, leaving the remaining
-// teardown running in the background.
+// to be executed and answered, then seals the shard logs. Requests a
+// client has sent but the server has not yet read may go unanswered
+// (clients wanting a clean drain should half-close and read to EOF);
+// admitted requests are always completed. Returns ctx.Err() if the
+// context expires first, leaving the remaining teardown running in
+// the background.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closing.Store(true)
 	if s.ln != nil {
@@ -405,17 +370,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.connWG.Wait()
-		// No connection goroutines remain, so nothing can submit to the
-		// executors: close their queues, letting them drain and exit.
-		s.closeEx.Do(func() {
-			for _, sh := range s.shards {
-				close(sh.exec.ch)
-			}
-		})
-		s.execWG.Wait()
-		// Every admitted write is now appended and applied; seal the
-		// shard logs (flush + fsync + close) so a restart replays this
-		// state with no torn tail, under every fsync policy.
+		// No connection goroutines remain, so every admitted write is
+		// appended, applied and answered; seal the shard logs (flush +
+		// fsync + close) so a restart replays this state with no torn
+		// tail, under every fsync policy.
 		s.closeWALs()
 		close(done)
 	}()
@@ -445,7 +403,7 @@ func (s *Server) Stats() Stats {
 }
 
 // Counters merges the lock/index event counters of every connection
-// and executor Ctx the server has handed out.
+// Ctx the server has handed out.
 func (s *Server) Counters() obs.Snapshot { return s.reg.Snapshot() }
 
 // Len sums the shard index sizes (exact when quiescent).
@@ -474,16 +432,8 @@ func (s *Server) AttachLive(src *obs.LiveSource) {
 // is off); optiqld uses it for the -trace Chrome export at shutdown.
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
-// Contention builds the live contention report: the tracer snapshot
-// plus the instantaneous per-shard executor queue depths. Nil when
-// tracing is off.
+// Contention builds the live contention report from the tracer
+// snapshot. Nil when tracing is off.
 func (s *Server) Contention() *obs.ContentionReport {
-	if s.tracer == nil {
-		return nil
-	}
-	depths := make([]int64, len(s.shards))
-	for i, sh := range s.shards {
-		depths[i] = sh.exec.inflight.Load()
-	}
-	return obs.ContentionFrom(s.tracer, depths)
+	return obs.ContentionFrom(s.tracer)
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"optiql/internal/core"
 	"optiql/internal/indextest"
 	"optiql/internal/server/wire"
+	"optiql/internal/wal"
 	"optiql/internal/workload"
 )
 
@@ -58,37 +58,90 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestShardCountBoundedByPool: every shard executor holds a fixed
-// queue-node reserve, so New must refuse a shard count whose reserves
-// exceed the pool — with an error naming the limit, not a start-up
-// panic — and must start at exactly the limit, WAL checkpointers
-// included (they only scan and reserve nothing).
-func TestShardCountBoundedByPool(t *testing.T) {
-	limit := core.MaxQNodes / execQNodes
+// TestManyShardsServeWrites: shards hold no queue nodes, so New
+// accepts a shard count far past the pool's 1024/8 that per-shard
+// write reserves once allowed, WAL or not, and every shard serves a
+// write.
+func TestManyShardsServeWrites(t *testing.T) {
+	const shards = 200
 	for _, withWAL := range []bool{false, true} {
 		t.Run(fmt.Sprintf("wal=%v", withWAL), func(t *testing.T) {
-			cfg := Config{Shards: 200}
+			cfg := Config{Shards: shards, Scheme: "OptiQL"}
 			if withWAL {
 				cfg.WALDir = t.TempDir()
+				cfg.Fsync = wal.SyncOff
 			}
-			if s, err := New(cfg); err == nil {
-				s.Shutdown(context.Background())
-				t.Fatal("New accepted 200 shards")
-			} else if want := fmt.Sprintf("at most %d shards", limit); !strings.Contains(err.Error(), want) {
-				t.Fatalf("error %q does not name the limit (%q)", err, want)
-			}
-			cfg.Shards = limit
-			if withWAL {
-				cfg.WALDir = t.TempDir()
-			}
-			s, err := New(cfg)
+			srv, addr := startServer(t, cfg)
+			cl, err := wire.Dial(addr)
 			if err != nil {
-				t.Fatalf("New at the %d-shard limit: %v", limit, err)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := s.Shutdown(ctx); err != nil {
 				t.Fatal(err)
+			}
+			defer cl.Close()
+			// Find a key for every shard, then write them all in one pipe.
+			keys := make([]uint64, shards)
+			for k, found := uint64(1), 0; found < shards; k++ {
+				if si := srv.shardIdx(k); keys[si] == 0 {
+					keys[si] = k
+					found++
+				}
+			}
+			for _, k := range keys {
+				if err := cl.Send(wire.Put(k, k+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for si := range keys {
+				if resp, err := cl.Recv(); err != nil || resp.Status != wire.StatusOK {
+					t.Fatalf("put on shard %d = %+v, %v", si, resp, err)
+				}
+			}
+			for si, sh := range srv.shards {
+				if n := sh.idx.Len(); n != 1 {
+					t.Fatalf("shard %d holds %d keys, want 1", si, n)
+				}
+			}
+		})
+	}
+}
+
+// TestWriteShedWhenPoolDrained: a write reserves its queue nodes before
+// it touches the index, so with the pool drained a PUT is answered
+// OVERLOADED (and counted as shed) instead of panicking mid-acquire,
+// and once the pool is refilled the same PUT succeeds.
+func TestWriteShedWhenPoolDrained(t *testing.T) {
+	for _, kind := range []string{"btree", "art"} {
+		t.Run(kind, func(t *testing.T) {
+			srv, addr := startServer(t, Config{Index: kind, Shards: 1, Scheme: "OptiQL"})
+			cl, err := wire.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			var drained []*core.QNode
+			for {
+				q, ok := srv.pool.TryGet()
+				if !ok {
+					break
+				}
+				drained = append(drained, q)
+			}
+			if resp, err := cl.Do(wire.Put(1, 10)); err != nil || resp.Status != wire.StatusOverloaded {
+				t.Fatalf("put with the pool drained = %+v, %v, want OVERLOADED", resp, err)
+			}
+			if resp, err := cl.Do(wire.Get(1)); err != nil || resp.Status != wire.StatusNotFound {
+				t.Fatalf("shed put was applied: get = %+v, %v", resp, err)
+			}
+			if st := srv.Stats(); st.Shed != 1 {
+				t.Fatalf("shed = %d, want 1", st.Shed)
+			}
+			for _, q := range drained {
+				srv.pool.Put(q)
+			}
+			if resp, err := cl.Do(wire.Put(1, 10)); err != nil || resp.Status != wire.StatusOK {
+				t.Fatalf("put after refilling the pool = %+v, %v", resp, err)
+			}
+			if resp, err := cl.Do(wire.Get(1)); err != nil || resp.Value != 10 {
+				t.Fatalf("get after refill = %+v, %v", resp, err)
 			}
 		})
 	}
@@ -210,7 +263,7 @@ func rawExchange(addr string, frame []byte) (wire.Response, error) {
 func TestPipelinedE2E(t *testing.T) {
 	for _, kind := range []string{"btree", "art"} {
 		t.Run(kind, func(t *testing.T) {
-			srv, addr := startServer(t, Config{Index: kind, Shards: 4, BatchMax: 32})
+			srv, addr := startServer(t, Config{Index: kind, Shards: 4})
 
 			const clients = 8
 			ops := 1200
@@ -410,7 +463,7 @@ func runE2EWorker(w int, addr string, ops int, tl *e2eTally, oracle map[uint64]u
 // must see an in-order prefix of OK batch responses, and the server's
 // put counter and resident keys must match that prefix exactly.
 func TestShutdownDrainsAdmittedBatches(t *testing.T) {
-	srv, addr := startServer(t, Config{Shards: 4, BatchMax: 8})
+	srv, addr := startServer(t, Config{Shards: 4})
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

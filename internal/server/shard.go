@@ -68,16 +68,19 @@ func newIndex(kind string, scheme *locks.Scheme, nodeSize int) (Index, error) {
 	return nil, fmt.Errorf("server: unknown index kind %q", kind)
 }
 
-// shard is one partition: an index instance, the executor that
-// serializes and batches its writes, and — when durability is on — its
-// write-ahead log plus the lock context the checkpoint scanner uses.
+// shard is one partition: an index instance and — when durability is
+// on — its write-ahead log, the mutex that orders the log's appends
+// and applies, and the lock context the checkpoint scanner uses.
 type shard struct {
-	idx  Index
-	exec *executor
+	idx Index
 	// wal is the shard's write-ahead log (nil without Config.WALDir).
+	// mu is held from a record's Append through its applies to
+	// NoteApplied, so the log's order is the index's apply order and
+	// Append has one caller at a time.
 	wal *wal.Log
+	mu  sync.Mutex
 	// ckptCtx is the checkpoint snapshot scanner's lock context; it runs
-	// concurrently with the executor so it cannot share the executor's.
+	// concurrently with the writers, so it has its own.
 	ckptCtx *locks.Ctx
 }
 
@@ -88,11 +91,6 @@ func shardHash(k uint64) uint64 {
 	k = (k ^ (k >> 30)) * 0xBF58476D1CE4E5B9
 	k = (k ^ (k >> 27)) * 0x94D049BB133111EB
 	return k ^ (k >> 31)
-}
-
-// shardFor routes a key to its partition.
-func (s *Server) shardFor(k uint64) *shard {
-	return s.shards[shardHash(k)%uint64(len(s.shards))]
 }
 
 // scanBuf is a pooled scan result buffer. A response's Pairs alias its

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"optiql/internal/hist"
@@ -15,8 +17,10 @@ import (
 
 // This file is the server side of the durability path: opening one
 // write-ahead log per shard (replaying it into the shard's index
-// before the executors start), the deferred-acknowledgement batches
-// that ride the log's group commit, and the merged durability report.
+// before the server accepts connections), a connection's per-shard
+// append-and-apply of its logged writes, the deferred-acknowledgement
+// batches that ride the log's group commit, and the merged durability
+// report.
 
 // walMetaName is the layout descriptor at the WAL root. Shard routing
 // is baked into the per-shard log directories, so reopening a log tree
@@ -25,18 +29,19 @@ import (
 const walMetaName = "META"
 
 // openWALs opens (and recovers) one log per shard under cfg.WALDir.
-// Called from New after the shards exist but before their executors
-// start, so replay owns each executor's Ctx without racing it.
+// Called from New after the shards exist but before the server
+// accepts connections, so replay has the indexes to itself.
 func (s *Server) openWALs() error {
 	if err := s.checkWALMeta(); err != nil {
 		return err
 	}
 	s.walDefersAcks = s.cfg.Fsync != wal.SyncOff
+	replayCtx := locks.NewCtx(s.pool, 0)
+	defer replayCtx.Close()
 	for i, sh := range s.shards {
 		dir := filepath.Join(s.cfg.WALDir, fmt.Sprintf("shard-%03d", i))
-		e := sh.exec
 		// The checkpoint writer scans the shard concurrently with the
-		// executor, so it gets its own Ctx (closed in closeWALs). It only
+		// writers, so it gets its own Ctx (closed in closeWALs). It only
 		// reads, and no read path takes a pool queue node, so it reserves
 		// none.
 		ckptCtx := locks.NewCtx(s.pool, 0)
@@ -57,9 +62,9 @@ func (s *Server) openWALs() error {
 			for j := range ops {
 				o := &ops[j]
 				if o.Op == wal.OpPut {
-					idx.Insert(e.ctx, o.Key, o.Val)
+					idx.Insert(replayCtx, o.Key, o.Val)
 				} else {
-					idx.Delete(e.ctx, o.Key)
+					idx.Delete(replayCtx, o.Key)
 				}
 			}
 		})
@@ -70,14 +75,12 @@ func (s *Server) openWALs() error {
 		}
 		sh.wal = l
 		sh.ckptCtx = ckptCtx
-		e.wal = l
-		e.walOps = make([]wal.Op, 0, s.cfg.BatchMax)
 	}
 	return nil
 }
 
 // closeWALs seals every open shard log (fsync + close) and releases
-// the checkpoint contexts. Called after the executors have exited.
+// the checkpoint contexts. Called once no connection can write.
 func (s *Server) closeWALs() {
 	for _, sh := range s.shards {
 		if sh.wal != nil {
@@ -85,7 +88,6 @@ func (s *Server) closeWALs() {
 				s.cfg.WALLogf("wal: close: %v", err)
 			}
 			sh.wal = nil
-			sh.exec.wal = nil
 		}
 		if sh.ckptCtx != nil {
 			sh.ckptCtx.Close()
@@ -143,22 +145,30 @@ func snapshotIndex(idx Index, ctx *locks.Ctx, emit func(k, v uint64) error) erro
 	}
 }
 
-// ackItem is one write waiting on the log's commit policy; ackBatch is
-// the pooled wal.Committer for one executor batch. The executor fills
-// items while applying, then hands the batch to wal.Commit; Committed
-// runs on the log's syncer goroutine (or inline, policy-dependent) and
-// is the point where the batch's clients finally hear back.
-type ackItem struct {
-	p    *pending
+// loggedWrite is one write of the request being dispatched, held
+// until the connection appends its shard's share (commitLogged).
+type loggedWrite struct {
+	si   int
+	req  *wire.Request
 	slot *wire.Response
 }
 
+// ackBatch is the pooled wal.Committer for one request's writes to one
+// shard: the connection fills slots while it applies, then hands the
+// batch to wal.Commit. Committed runs on the log's syncer goroutine
+// (or inline, policy-dependent) and is the point where the client
+// finally hears back.
 type ackBatch struct {
-	items []ackItem
+	p     *pending
+	slots []*wire.Response
 }
 
+// ackBatchCap is a pooled ackBatch's slot capacity; one grown past it
+// by a large BATCH goes to the GC rather than back to the pool.
+const ackBatchCap = 64
+
 var ackBatchPool = sync.Pool{New: func() any {
-	return &ackBatch{items: make([]ackItem, 0, 64)}
+	return &ackBatch{slots: make([]*wire.Response, 0, ackBatchCap)}
 }}
 
 // Committed implements wal.Committer: on fsync failure every slot is
@@ -168,82 +178,100 @@ var ackBatchPool = sync.Pool{New: func() any {
 func (a *ackBatch) Committed(err error) {
 	if err != nil {
 		msg := "wal: " + err.Error()
-		for i := range a.items {
-			a.items[i].slot.Status = wire.StatusErr
-			a.items[i].slot.Err = msg
+		for _, slot := range a.slots {
+			slot.Status = wire.StatusErr
+			slot.Err = msg
 		}
 	}
-	for i := range a.items {
-		a.items[i].p.opDone()
-		a.items[i] = ackItem{}
+	for range a.slots {
+		a.p.opDone()
 	}
-	a.items = a.items[:0]
-	ackBatchPool.Put(a)
+	if cap(a.slots) <= ackBatchCap {
+		clear(a.slots)
+		*a = ackBatch{slots: a.slots[:0]}
+		ackBatchPool.Put(a)
+	}
 }
 
-// execBatch runs one drained batch through the WAL when one is
-// configured: append first (nothing may become observable unlogged),
-// then apply to the index collecting deferred acks, then hand the acks
-// to the commit policy.
-func (e *executor) execBatch(buf []writeOp) {
-	if e.wal == nil {
-		e.applyBatch(buf)
-		return
+// commitLogged appends and applies the request's logged writes, one
+// record per shard, and reports false if an apply panicked. Each
+// shard's share keeps its request order.
+func (c *conn) commitLogged(ctx *locks.Ctx, p *pending) bool {
+	ws := c.logged
+	slices.SortStableFunc(ws, func(a, b loggedWrite) int { return cmp.Compare(a.si, b.si) })
+	ok := true
+	for len(ws) > 0 {
+		n := 1
+		for n < len(ws) && ws[n].si == ws[0].si {
+			n++
+		}
+		if !c.commitShard(ctx, p, c.srv.shards[ws[0].si], ws[:n]) {
+			ok = false
+		}
+		ws = ws[n:]
 	}
-	ops := e.walOps[:0]
-	for i := range buf {
-		w := &buf[i]
-		o := wal.Op{Op: wal.OpPut, Key: w.key, Val: w.val}
-		if w.op == wire.OpDelete {
-			o = wal.Op{Op: wal.OpDelete, Key: w.key}
+	clear(c.logged)
+	c.logged = c.logged[:0]
+	return ok
+}
+
+// commitShard writes one shard's share of a request through its log:
+// append first (nothing may become observable unlogged), then apply,
+// then hand the acks to the commit policy. The shard mutex spans the
+// append through NoteApplied, so the log's order is the apply order;
+// Commit, which fsyncs inline under the always policy, runs after it.
+// A panicking apply is answered StatusErr while the rest still apply,
+// so the index keeps every logged write.
+func (c *conn) commitShard(ctx *locks.Ctx, p *pending, sh *shard, ws []loggedWrite) bool {
+	s := c.srv
+	ops := c.walOps[:0]
+	for _, w := range ws {
+		o := wal.Op{Op: wal.OpPut, Key: w.req.Key, Val: w.req.Value}
+		if w.req.Op == wire.OpDelete {
+			o = wal.Op{Op: wal.OpDelete, Key: w.req.Key}
 		}
 		ops = append(ops, o)
 	}
-	e.walOps = ops
-	seq, err := e.wal.Append(ops)
+	c.walOps = ops
+	sh.mu.Lock()
+	seq, err := sh.wal.Append(ops)
 	if err != nil {
-		// Poisoned or closed log: fail the whole batch without touching
-		// the index. Applying an unlogged write would let a client read
+		sh.mu.Unlock()
+		// Poisoned or closed log: fail the writes without touching the
+		// index. Applying an unlogged write would let a client read
 		// state that silently vanishes on restart.
 		msg := "wal: " + err.Error()
-		for i := range buf {
-			w := &buf[i]
+		for _, w := range ws {
 			w.slot.Status = wire.StatusErr
 			w.slot.Err = msg
-			w.p.noteApplied()
-			w.p.opDone()
-			e.inflight.Add(-1)
+			p.opDone()
 		}
-		e.srv.stats.errors.Add(uint64(len(buf)))
-		return
+		s.stats.errors.Add(uint64(len(ws)))
+		return true
 	}
-	if !e.srv.walDefersAcks {
-		// Off policy: the ack never waits on an fsync, so skip the
-		// deferred-ack batch entirely — completions land at apply time,
-		// exactly like the no-WAL path, and the syncer's tick flushes.
-		e.applyBatch(buf)
-		e.wal.NoteApplied(seq)
-		return
+	ok := true
+	for _, w := range ws {
+		if !c.applyWrite(ctx, sh.idx, p, w.si, w.req, w.slot) {
+			ok = false
+		}
+	}
+	sh.wal.NoteApplied(seq)
+	sh.mu.Unlock()
+	if !s.walDefersAcks {
+		// Off policy: the ack never waits on an fsync, so it lands at
+		// apply time, exactly like the no-WAL path.
+		for range ws {
+			p.opDone()
+		}
+		return ok
 	}
 	ab := ackBatchPool.Get().(*ackBatch)
-	e.ack = ab
-	e.applyBatch(buf)
-	e.ack = nil
-	e.wal.NoteApplied(seq)
-	e.wal.Commit(seq, len(ab.items), ab)
-}
-
-// complete finishes one write: immediately without a WAL, otherwise by
-// parking it on the current batch's deferred-ack set. Either way the
-// write is in the index now, so the read-your-writes barrier releases
-// here even though a deferred ack still waits on the fsync.
-func (e *executor) complete(w *writeOp) {
-	w.p.noteApplied()
-	if e.ack != nil {
-		e.ack.items = append(e.ack.items, ackItem{p: w.p, slot: w.slot})
-		return
+	ab.p = p
+	for _, w := range ws {
+		ab.slots = append(ab.slots, w.slot)
 	}
-	w.p.opDone()
+	sh.wal.Commit(seq, len(ws), ab)
+	return ok
 }
 
 // WALEnabled reports whether this server runs with a write-ahead log.
@@ -307,14 +335,11 @@ func (s *Server) WALReport() *obs.WALReport {
 	return rep
 }
 
-// walGate pre-screens a write against shard si's log: poisoned logs
+// walGate pre-screens a write against its shard's log: poisoned logs
 // answer StatusErr (reads keep serving), a lagging fsync queue sheds
 // with StatusOverloaded. Reports whether the write was answered here.
-func (c *conn) walGate(si int, p *pending, slot *wire.Response) bool {
-	l := c.srv.shards[si].wal
-	if l == nil {
-		return false
-	}
+func (c *conn) walGate(sh *shard, p *pending, slot *wire.Response) bool {
+	l := sh.wal
 	if err := l.Err(); err != nil {
 		slot.Status = wire.StatusErr
 		slot.Err = "wal: " + err.Error()
@@ -323,11 +348,8 @@ func (c *conn) walGate(si int, p *pending, slot *wire.Response) bool {
 		return true
 	}
 	if l.Lagging() {
-		slot.Status = wire.StatusOverloaded
-		c.srv.stats.shed.Add(1)
-		c.srv.resil.Inc(obs.EvSrvShed)
 		l.NoteShed()
-		p.opDone()
+		c.shed(p, slot)
 		return true
 	}
 	return false

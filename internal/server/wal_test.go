@@ -313,7 +313,7 @@ func TestWALLagShedsOverloaded(t *testing.T) {
 		t.Fatalf("shed writes not counted in report: %+v", rep)
 	}
 	// Open the gate: every burst write that was queued commits and acks
-	// OK. The reader screens each frame against the debt the executor
+	// OK. The reader screens each frame against the debt the connection
 	// has built from the frames before it, and with the gate shut a
 	// shard's debt only grows, so per shard the burst is answered OK for
 	// a prefix of at least WALSyncQueueMax writes and Overloaded for the
@@ -470,5 +470,81 @@ func TestWALReadYourWrites(t *testing.T) {
 		if err != nil || gr.Status != wire.StatusOK || gr.Value != i+1 {
 			t.Fatalf("get %d after put = %+v %v", i, gr, err)
 		}
+	}
+}
+
+// TestWALWritePanicKeepsLoggedWrites: with a WAL, a request's writes
+// to a shard are in the log before any of them applies, so a panic in
+// one apply must not skip the others — the index keeps every logged
+// write. The panicking write is answered StatusErr, its neighbours
+// OK, and the connection closes.
+func TestWALWritePanicKeepsLoggedWrites(t *testing.T) {
+	const boom = uint64(0xDEAD)
+	cfg := walConfig(t.TempDir(), "btree", wal.SyncInterval)
+	cfg.Shards = 1
+	srv, addr := startServer(t, cfg)
+	srv.panicKey.Store(boom)
+	cl, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	b, err := cl.Do(wire.Batch(wire.Put(1, 10), wire.Put(boom, 1), wire.Put(2, 20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Sub) != 3 || b.Sub[0].Status != wire.StatusOK ||
+		b.Sub[1].Status != wire.StatusErr || b.Sub[2].Status != wire.StatusOK {
+		t.Fatalf("batch subs = %+v", b.Sub)
+	}
+	if _, err = cl.Do(wire.Get(1)); err == nil {
+		t.Fatal("connection stayed open after a write panic")
+	}
+	srv.panicKey.Store(0)
+	cl2, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	for _, k := range []uint64{1, 2} {
+		if resp, err := cl2.Do(wire.Get(k)); err != nil || resp.Value != k*10 {
+			t.Fatalf("get(%d) = %+v, %v", k, resp, err)
+		}
+	}
+	if st := srv.Stats(); st.Panics != 1 {
+		t.Fatalf("panics = %d, want 1", st.Panics)
+	}
+}
+
+// TestWALBatchOneRecordPerShard: a request's writes to a shard are one
+// log record, so a BATCH of 1024 PUTs over two shards appends exactly
+// two records, however its keys interleave.
+func TestWALBatchOneRecordPerShard(t *testing.T) {
+	srv, addr := startServer(t, walConfig(t.TempDir(), "btree", wal.SyncInterval))
+	cl, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	sub := make([]wire.Request, 1024)
+	for i := range sub {
+		sub[i] = wire.Put(uint64(i+1), uint64(i))
+	}
+	before := srv.WALReport().AppendedRecords
+	b, err := cl.Do(wire.Batch(sub...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range b.Sub {
+		if r.Status != wire.StatusOK || !r.Inserted {
+			t.Fatalf("sub %d = %+v", i, r)
+		}
+	}
+	rep := srv.WALReport()
+	if got := rep.AppendedRecords - before; got != 2 {
+		t.Fatalf("one 1024-PUT batch over 2 shards appended %d records, want 2", got)
+	}
+	if rep.AppendedOps != 1024 {
+		t.Fatalf("appended ops = %d, want 1024", rep.AppendedOps)
 	}
 }

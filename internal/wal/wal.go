@@ -99,9 +99,11 @@ type ticket struct {
 // ErrClosed is returned by appends and commits after Close.
 var ErrClosed = errors.New("wal: log closed")
 
-// Log is one shard's write-ahead log. Append, NoteApplied and Commit
-// are single-caller (the shard executor); Lagging, Err and Stats may
-// be called from any goroutine; Close must not race Append/Commit.
+// Log is one shard's write-ahead log. Append and NoteApplied are
+// single-caller at a time (the server serializes them under the
+// shard's mutex), and Commit follows its own Append; Lagging, Err and
+// Stats may be called from any goroutine; Close must not race
+// Append/Commit.
 type Log struct {
 	dir string
 	cfg Config
@@ -265,7 +267,8 @@ func (l *Log) openSegment(firstSeq uint64) error {
 // Append encodes ops as one record (splitting past maxOpsPerRecord),
 // writes it to the active segment and returns the sequence of the last
 // record written. The data is buffered, not yet durable: pair with
-// Commit. Single-caller (the shard executor).
+// Commit. Callers serialize Append with their applies and NoteApplied
+// (the server holds the shard mutex across all three).
 func (l *Log) Append(ops []Op) (uint64, error) {
 	if len(ops) == 0 {
 		return l.appended.Load(), nil
@@ -418,7 +421,8 @@ func (l *Log) Commit(seq uint64, n int, c Committer) {
 
 // NoteApplied records that the batch at seq has been applied to the
 // in-memory index. Checkpoints snapshot at this watermark; the caller
-// must apply strictly in sequence order (the executor does).
+// must apply strictly in sequence order (the server applies under the
+// shard mutex it appended under).
 func (l *Log) NoteApplied(seq uint64) {
 	if seq > l.applied.Load() {
 		l.applied.Store(seq)
@@ -550,8 +554,8 @@ func (l *Log) release() {
 // commit: a woken syncer yields the processor once, then syncs
 // everything appended, and goes round again if a wake arrived
 // meanwhile. The yield is the batching window and it sizes itself: on
-// an idle process it returns at once, on a busy one the runnable readers
-// and executors run first and their commits join the group.
+// an idle process it returns at once, on a busy one the runnable
+// connection goroutines run first and their commits join the group.
 func (l *Log) syncLoop() {
 	defer close(l.done)
 	tick := time.NewTicker(l.cfg.Interval)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Negative injection for the analyzers: plant one torn-read hazard, one
-# WAL-ordering hazard, two upgrade-protocol hazards and an exclusive
+# Negative injection for the analyzers: plant one torn-read hazard, two
+# WAL-ordering hazards, two upgrade-protocol hazards and an exclusive
 # token leaked through a loop break into scratch copies of the module
 # and assert that tornread, walorder, shcheck and expair each catch
 # their plant end-to-end through `go vet -vettool`.
@@ -77,16 +77,30 @@ echo "   caught"
 
 echo "== plant 2: index apply before wal.Append (walorder)"
 copy_module "$scratch/wal"
-# Apply the batch to the index before it is durable in the log: a
-# crash between the two loses acknowledged writes.
+# Apply a write to the index before its record is in the log: a crash
+# between the two loses acknowledged writes.
 plant "$scratch/wal/internal/server/wal.go" \
-	'	seq, err := e.wal.Append(ops)' \
-	'	e.applyBatch(buf)
-	seq, err := e.wal.Append(ops)'
+	'	seq, err := sh.wal.Append(ops)' \
+	'	c.applyWrite(ctx, sh.idx, p, ws[0].si, ws[0].req, ws[0].slot)
+	seq, err := sh.wal.Append(ops)'
 expect_catch "$scratch/wal" ./internal/server/ walorder
 echo "   caught"
 
-echo "== plant 3: unchecked upgrade, and an upgraded token never released (shcheck, expair)"
+echo "== plant 3: write acked right after wal.Append (walorder)"
+copy_module "$scratch/ack"
+# Complete a write as soon as its record is appended, before the commit
+# policy has made it durable: under the interval and always policies
+# the client hears OK for a write a crash can still lose.
+plant "$scratch/ack/internal/server/wal.go" \
+	'	ok := true
+	for _, w := range ws {' \
+	'	p.opDone()
+	ok := true
+	for _, w := range ws {'
+expect_catch "$scratch/ack" ./internal/server/ walorder
+echo "   caught"
+
+echo "== plant 4: unchecked upgrade, and an upgraded token never released (shcheck, expair)"
 copy_module "$scratch/upg"
 # Throw Upgrade's flag away in Update: the value write proceeds whether
 # or not the lock was taken.
@@ -103,7 +117,7 @@ expect_catch "$scratch/upg" ./internal/art/ shcheck
 expect_catch "$scratch/upg" ./internal/art/ expair
 echo "   caught"
 
-echo "== plant 4: exclusive token leaked through a loop break (expair)"
+echo "== plant 5: exclusive token leaked through a loop break (expair)"
 copy_module "$scratch/brk"
 # Leave insertPessimistic's descent before the child's token is pushed
 # onto the held stack: ctok is never released, and every writer queued
