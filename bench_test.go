@@ -440,7 +440,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 					defer c.Close()
 					c.SetCounters(reg.NewCounters())
 					w := seq.Add(1)
-					tb := tracer.NewBuf(0, int(w)) // nil tracer -> nil buf, all no-ops
+					tb := tracer.NewBuf(int(w)) // nil tracer -> nil buf, all no-ops
 					c.SetTrace(tb)
 					rng := workload.NewRNG(w)
 					for pb.Next() {
@@ -449,7 +449,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 						var t0 int64
 						if ts {
 							t0 = tb.Now()
-							tb.NoteKey(0, k)
+							tb.NoteKey(k)
 						}
 						if rng.Uint64n(100) < 80 {
 							t.Lookup(c, k)

@@ -1,10 +1,11 @@
-// Command optiqld serves the OptiQL index substrates as a sharded TCP
-// key-value service (GET / PUT / DELETE / SCAN / BATCH over the
-// length-prefixed binary protocol of internal/server/wire).
+// Command optiqld serves an OptiQL index substrate as a TCP key-value
+// service (GET / PUT / DELETE / SCAN / BATCH over the length-prefixed
+// binary protocol of internal/server/wire): one index that every
+// connection reads and writes, and with -wal one log.
 //
 // Examples:
 //
-//	optiqld -addr :4440 -index btree -scheme OptiQL -shards 8
+//	optiqld -addr :4440 -index art -scheme OptiQL
 //	optiqld -addr :4440 -obs :6060          # live /metrics while serving
 //	optiqld -addr :4440 -wal /var/lib/optiql/wal -fsync interval
 //
@@ -17,7 +18,7 @@
 //	indexbench -net 127.0.0.1:4440 -threads 8 -mix balanced -duration 5s
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: accepting stops, every
-// admitted request is answered and the shard logs are sealed before
+// admitted request is answered and the log is sealed before
 // the process exits.
 package main
 
@@ -41,7 +42,7 @@ func main() {
 		addr     = flag.String("addr", ":4440", "TCP listen address")
 		index    = flag.String("index", "btree", "btree|art")
 		scheme   = flag.String("scheme", "OptiQL", "lock scheme (locks.ByName)")
-		shards   = flag.Int("shards", 4, "number of index partitions")
+		_        = flag.Int("shards", 0, "ignored: the daemon serves one index (accepted so older command lines still start)")
 		nodeSize = flag.Int("nodesize", 256, "B+-tree node size in bytes")
 		obsAddr  = flag.String("obs", "", "serve live /metrics, /debug/vars and /debug/pprof on this address (e.g. :6060)")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
@@ -55,7 +56,7 @@ func main() {
 		fsyncInt = flag.Duration("fsync-interval", 0, "syncer tick: flush cadence of -fsync off; interval-policy acks do not wait for it (0 = wal default 2ms)")
 		walSeg   = flag.Int64("wal-segment", 0, "segment rotation size in bytes (0 = wal default 64MiB)")
 		walCkpt  = flag.Int64("wal-checkpoint", 0, "sealed bytes between checkpoints (0 = wal default; checkpoints bound replay and reclaim segments)")
-		walQueue = flag.Int("wal-queue", 0, "max appended-but-unsynced ops per shard before writes shed OVERLOADED (interval policy; 0 = no shedding)")
+		walQueue = flag.Int("wal-queue", 0, "max appended-but-unsynced ops before writes shed OVERLOADED (interval policy; 0 = no shedding)")
 	)
 	flag.Parse()
 
@@ -75,7 +76,6 @@ func main() {
 		Addr:         *addr,
 		Index:        *index,
 		Scheme:       *scheme,
-		Shards:       *shards,
 		NodeSize:     *nodeSize,
 		ReadTimeout:  *readTO,
 		WriteTimeout: *writeTO,
@@ -98,15 +98,9 @@ func main() {
 	if *walDir != "" {
 		// The recovery line is a stable marker the crash harness and the
 		// CI smoke script parse; keep its shape if you edit it.
-		var reps, rops, torn, ck uint64
-		for _, rec := range srv.WALRecovery() {
-			reps += rec.RecordsReplayed
-			rops += rec.OpsReplayed
-			torn += uint64(rec.TornRecords)
-			ck += rec.CheckpointPairs
-		}
+		rec := srv.WALRecovery()
 		fmt.Printf("optiqld: wal recovery complete: %d records / %d ops replayed, %d checkpoint pairs, %d torn-tail truncations\n",
-			reps, rops, ck, torn)
+			rec.RecordsReplayed, rec.OpsReplayed, rec.CheckpointPairs, rec.TornRecords)
 	}
 	bound, err := srv.Listen()
 	if err != nil {
@@ -121,7 +115,7 @@ func main() {
 		}
 		fmt.Printf("observability endpoint on http://%s/metrics\n", oaddr)
 	}
-	fmt.Printf("optiqld serving %s/%s on %s (%d shards)\n", *index, *scheme, bound, *shards)
+	fmt.Printf("optiqld serving %s/%s on %s\n", *index, *scheme, bound)
 	if *walDir != "" {
 		fmt.Printf("optiqld: durability on: wal=%s fsync=%s\n", *walDir, *fsync)
 	}
@@ -143,7 +137,7 @@ func main() {
 	case got := <-sig:
 		fmt.Printf("optiqld: %v, draining...\n", got)
 		// Snapshot durability stats before Shutdown seals and releases
-		// the shard logs; afterwards the report reads all zeros.
+		// the log; afterwards the report reads all zeros.
 		walRep = srv.WALReport()
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		err := srv.Shutdown(ctx)

@@ -11,7 +11,7 @@ type Op struct {
 	Val  uint64
 }
 
-// Log mirrors the per-shard write-ahead log.
+// Log mirrors the server's write-ahead log.
 type Log struct{ seq uint64 }
 
 // Append mirrors the durable append: it assigns the batch a sequence

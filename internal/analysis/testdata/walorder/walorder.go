@@ -53,7 +53,7 @@ func (c *conn) applyWrite(sh *shard, w write) bool {
 	return sh.idx.Insert(w.key, w.val)
 }
 
-// walOps builds the record for a shard's share of a request.
+// walOps builds the record for a request's writes.
 func walOps(ws []write) []wal.Op {
 	ops := make([]wal.Op, 0, len(ws))
 	for _, w := range ws {
@@ -62,8 +62,8 @@ func walOps(ws []write) []wal.Op {
 	return ops
 }
 
-// goodCommit is the canonical commitShard shape: append under the
-// shard mutex, apply, note the apply, then ack by policy — directly
+// goodCommit is the canonical commitLogged shape: append under the
+// WAL mutex, apply, note the apply, then ack by policy — directly
 // under the off policy, through Commit's Committer otherwise.
 func (c *conn) goodCommit(sh *shard, p *pending, ws []write) {
 	ops := walOps(ws)
@@ -90,7 +90,7 @@ func (c *conn) goodCommit(sh *shard, p *pending, ws []write) {
 	sh.wal.Commit(seq, len(ws), &ackBatch{p: p, n: len(ws)})
 }
 
-// goodNilWAL is the dispatch shape: a logged shard collects the write
+// goodNilWAL is the dispatch shape: with a log the write is collected
 // for the commit, and the apply runs only on the wal-disabled edge.
 func (c *conn) goodNilWAL(sh *shard, p *pending, w write, logged *[]write) {
 	if sh.wal != nil {
@@ -226,11 +226,9 @@ func (c *conn) goodReplay(sh *shard, recs []wal.Op) {
 	}
 }
 
-// dispatch commits each shard's share through the fully guarded
+// dispatch commits the request's writes through the fully guarded
 // commit: calling a function whose applies are internally guarded
 // imposes nothing here.
-func (c *conn) dispatch(shards []*shard, p *pending, ws []write) {
-	for _, sh := range shards {
-		c.goodCommit(sh, p, ws)
-	}
+func (c *conn) dispatch(sh *shard, p *pending, ws []write) {
+	c.goodCommit(sh, p, ws)
 }

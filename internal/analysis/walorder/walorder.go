@@ -19,7 +19,7 @@
 // has not yet made stable.
 //
 // The server keeps the append, NoteApplied, the off-policy completions
-// and Commit in one function (commitShard), so both rules are checked
+// and Commit in one function (commitLogged), so both rules are checked
 // on one CFG; an apply helper's summary carries the append rule to its
 // call site. A closure is checked without its enclosing function's
 // guards, so post-append applies belong in methods, not closures.
@@ -35,7 +35,7 @@
 // Function summaries (through the vetx facts) carry two bits: whether
 // a function performs an apply that is not internally guarded, and
 // whether it may complete operations — so `dispatch` calling the
-// fully guarded `commitShard` is unconstrained, while a helper that
+// fully guarded `commitLogged` is unconstrained, while a helper that
 // applies unguarded imposes the append-dominance obligation on its
 // callers.
 package walorder

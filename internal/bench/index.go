@@ -302,7 +302,7 @@ func MeasureIndex(cfg IndexConfig, idx Index, pool *core.Pool) (IndexResult, err
 			c := locks.NewCtx(pool, 8)
 			defer c.Close()
 			c.SetCounters(reg.NewCounters())
-			tb := cfg.Trace.NewBuf(0, w)
+			tb := cfg.Trace.NewBuf(w)
 			c.SetTrace(tb)
 			rng := workload.NewRNG(uint64(w)*0x9E3779B97F4A7C15 + 1)
 			insertSeq := uint64(cfg.Records) + uint64(w)<<40
@@ -327,7 +327,7 @@ func MeasureIndex(cfg IndexConfig, idx Index, pool *core.Pool) (IndexResult, err
 				var tt0 int64
 				if ts {
 					tt0 = tb.Now()
-					tb.NoteKey(0, k)
+					tb.NoteKey(k)
 				}
 				hit := true
 				switch op {

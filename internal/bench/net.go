@@ -346,7 +346,7 @@ func RunNet(cfg NetConfig) (NetResult, error) {
 				// One shared buffer: injector spans are recorded
 				// unconditionally (Record is mutex-safe; Sample is not
 				// called on a shared Buf).
-				chaos.Trace = cfg.Trace.NewBuf(-1, -1)
+				chaos.Trace = cfg.Trace.NewBuf(-1)
 			}
 			inj = faults.NewInjector(chaos)
 		}
@@ -412,7 +412,7 @@ func RunNet(cfg NetConfig) (NetResult, error) {
 					Addr:       cfg.Addr,
 					MaxRetries: cfg.MaxRetries,
 					Counters:   reg.NewCounters(),
-					Trace:      cfg.Trace.NewBuf(-1, w),
+					Trace:      cfg.Trace.NewBuf(w),
 				}
 				if inj != nil {
 					rc.DialFunc = inj.Dial

@@ -66,7 +66,7 @@ func TestTracedLookupAllocs(t *testing.T) {
 			c := locks.NewCtx(pool, 8)
 			defer c.Close()
 			tracer := trace.New(trace.Config{SampleEvery: 1, BufCap: 1024})
-			tb := tracer.NewBuf(0, 0)
+			tb := tracer.NewBuf(0)
 			c.SetTrace(tb)
 			for k := uint64(0); k < 10000; k++ {
 				tr.Insert(c, k, k*3)
@@ -80,7 +80,7 @@ func TestTracedLookupAllocs(t *testing.T) {
 				var t0 int64
 				if sampled {
 					t0 = tb.Now()
-					tb.NoteKey(0, k)
+					tb.NoteKey(k)
 				}
 				v, ok := tr.Lookup(c, k)
 				if !ok || v != k*3 {

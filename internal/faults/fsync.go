@@ -27,7 +27,7 @@ func SlowSync(d time.Duration) func(*os.File) error {
 // then fails every subsequent one — a disk that drops dead mid-run.
 // The first failure poisons the log (writes shed, reads keep serving),
 // so n positions the death precisely in a test's timeline. The hook is
-// safe to share across shards; the budget is global, not per-log.
+// safe to share across logs; the budget is global, not per-log.
 func FailSyncAfter(n int) func(*os.File) error {
 	var used atomic.Int64
 	return func(f *os.File) error {

@@ -68,7 +68,6 @@ func CrashChildMain() {
 		Addr:               "127.0.0.1:0",
 		Index:              os.Getenv("CRASH_INDEX"),
 		Scheme:             os.Getenv("CRASH_SCHEME"),
-		Shards:             geti("CRASH_SHARDS", 2),
 		WALDir:             os.Getenv("CRASH_WAL"),
 		Fsync:              os.Getenv("CRASH_FSYNC"),
 		WALSegmentBytes:    int64(geti("CRASH_SEG", 8<<10)),
@@ -81,19 +80,14 @@ func CrashChildMain() {
 	if err != nil {
 		childFatal(err)
 	}
-	var reps, rops, ck, torn uint64
-	for _, rec := range srv.WALRecovery() {
-		reps += rec.RecordsReplayed
-		rops += rec.OpsReplayed
-		ck += rec.CheckpointPairs
-		torn += uint64(rec.TornRecords)
-	}
+	rec := srv.WALRecovery()
 	bound, err := srv.Listen()
 	if err != nil {
 		childFatal(err)
 	}
 	// The parent parses these two lines; keep their shape.
-	fmt.Printf("CRASH_CHILD_RECOVERY records=%d ops=%d ckpt=%d torn=%d\n", reps, rops, ck, torn)
+	fmt.Printf("CRASH_CHILD_RECOVERY records=%d ops=%d ckpt=%d torn=%d\n",
+		rec.RecordsReplayed, rec.OpsReplayed, rec.CheckpointPairs, rec.TornRecords)
 	fmt.Printf("CRASH_CHILD_READY addr=%s\n", bound)
 	os.Stdout.Sync()
 
@@ -143,8 +137,8 @@ type Supervisor struct {
 }
 
 // NewSupervisor prepares (but does not start) a child daemon serving
-// index kind over shards with the given WAL dir and fsync policy.
-func NewSupervisor(t testing.TB, kind, scheme, walDir, fsyncPolicy string, shards int) *Supervisor {
+// index kind with the given WAL dir and fsync policy.
+func NewSupervisor(t testing.TB, kind, scheme, walDir, fsyncPolicy string) *Supervisor {
 	return &Supervisor{
 		t: t,
 		env: append(os.Environ(),
@@ -153,7 +147,6 @@ func NewSupervisor(t testing.TB, kind, scheme, walDir, fsyncPolicy string, shard
 			"CRASH_SCHEME="+scheme,
 			"CRASH_WAL="+walDir,
 			"CRASH_FSYNC="+fsyncPolicy,
-			"CRASH_SHARDS="+strconv.Itoa(shards),
 		),
 	}
 }
@@ -315,7 +308,6 @@ type CrashOracleConfig struct {
 	Index  string
 	Scheme string
 	Fsync  string
-	Shards int
 	// Cycles is the SIGKILL/recover count (CRASH_CYCLES env overrides).
 	Cycles int
 	// Workers each own Keys/Workers keys (striped by key % Workers).
@@ -336,7 +328,7 @@ func RunCrashOracle(t *testing.T, cfg CrashOracleConfig) {
 		}
 		cfg.Cycles = n
 	}
-	sup := NewSupervisor(t, cfg.Index, cfg.Scheme, t.TempDir(), cfg.Fsync, cfg.Shards)
+	sup := NewSupervisor(t, cfg.Index, cfg.Scheme, t.TempDir(), cfg.Fsync)
 	defer sup.Stop()
 	sup.Start()
 

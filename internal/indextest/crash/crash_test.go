@@ -51,7 +51,6 @@ func TestCrashOracle(t *testing.T) {
 				Index:   tc.kind,
 				Scheme:  crashScheme(),
 				Fsync:   tc.fsync,
-				Shards:  2,
 				Cycles:  cycles,
 				Workers: 4,
 				Keys:    64,
@@ -65,7 +64,7 @@ func TestCrashOracle(t *testing.T) {
 // fsyncs and seals the segments, so the restart replays every write
 // with zero torn-tail truncations.
 func TestShutdownSealsWAL(t *testing.T) {
-	sup := NewSupervisor(t, "btree", crashScheme(), t.TempDir(), "interval", 2)
+	sup := NewSupervisor(t, "btree", crashScheme(), t.TempDir(), "interval")
 	defer sup.Stop()
 	sup.Start()
 

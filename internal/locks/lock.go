@@ -148,7 +148,7 @@ func (c *Ctx) TraceRestart(key uint64) {
 		return
 	}
 	tb.Event(trace.KindOpRestart, 0, key)
-	tb.NoteKey(-1, key)
+	tb.NoteKey(key)
 }
 
 // lockID derives a stable identity for a lock from its address, used

@@ -40,7 +40,7 @@ func TestTraceLockSpans(t *testing.T) {
 					defer wg.Done()
 					c := NewCtx(pool, 8)
 					defer c.Close()
-					c.SetTrace(tr.NewBuf(0, w))
+					c.SetTrace(tr.NewBuf(w))
 					if c.Trace() == nil {
 						t.Error("Trace() lost the buffer")
 						return

@@ -15,16 +15,6 @@ type HotKeyReport struct {
 	Err   uint64 `json:"overestimate,omitempty"`
 }
 
-// ShardContention is one shard's contention view.
-type ShardContention struct {
-	Shard int `json:"shard"`
-	// LockWait is the shard's exclusive-acquisition wait distribution
-	// (sampled, nanoseconds).
-	LockWait *LatencyReport `json:"lock_wait,omitempty"`
-	// HotKeys ranks the shard's hottest keys from sampled operations.
-	HotKeys []HotKeyReport `json:"hot_keys,omitempty"`
-}
-
 // ContentionReport is the JSON shape of /debug/contention and of the
 // LockWait/HotKeys sections in run reports: where lock time
 // goes and which keys/nodes it goes to, from the sampled trace layer.
@@ -39,14 +29,10 @@ type ContentionReport struct {
 	Dropped uint64 `json:"spans_dropped,omitempty"`
 	// LockWait merges every worker's exclusive-wait distribution.
 	LockWait *LatencyReport `json:"lock_wait,omitempty"`
-	// HotKeys ranks keys across all shards; HotNodes ranks lock/node
-	// identities (opaque but stable within a run — equal values are
-	// the same tree node).
+	// HotKeys ranks keys; HotNodes ranks lock/node identities (opaque
+	// but stable within a run — equal values are the same tree node).
 	HotKeys  []HotKeyReport `json:"hot_keys,omitempty"`
 	HotNodes []HotKeyReport `json:"hot_nodes,omitempty"`
-	// Shards breaks the above down per shard (omitted for single-shard
-	// tracers, where it would repeat the top level).
-	Shards []ShardContention `json:"shards,omitempty"`
 }
 
 // LatencyReportFrom converts a histogram into the report schema (nil
@@ -93,7 +79,7 @@ func ContentionFrom(t *trace.Tracer) *ContentionReport {
 		return nil
 	}
 	s := t.Snapshot()
-	rep := &ContentionReport{
+	return &ContentionReport{
 		SampleEvery: s.SampleEvery,
 		Spans:       s.Recorded,
 		Dropped:     s.Dropped,
@@ -101,16 +87,6 @@ func ContentionFrom(t *trace.Tracer) *ContentionReport {
 		HotKeys:     hotKeyReports(s.Keys),
 		HotNodes:    hotKeyReports(s.Nodes),
 	}
-	if len(s.Shards) > 1 {
-		for i := range s.Shards {
-			rep.Shards = append(rep.Shards, ShardContention{
-				Shard:    i,
-				LockWait: LatencyReportFrom(&s.Shards[i].Wait),
-				HotKeys:  hotKeyReports(s.Shards[i].Keys),
-			})
-		}
-	}
-	return rep
 }
 
 // AttachContention fills the report's contention sections from cr

@@ -25,7 +25,7 @@ type LiveSource struct {
 	// contention builds the /debug/contention report from the run's
 	// tracer; nil (or a nil return) means tracing is off.
 	contention func() *ContentionReport
-	// wal builds the /debug/wal report from the server's shard logs;
+	// wal builds the /debug/wal report from the server's log;
 	// nil (or a nil return) means the run has no write-ahead log.
 	wal     func() *WALReport
 	started time.Time

@@ -89,8 +89,9 @@ const (
 	// EvSrvPanic counts handler panics recovered by the server (the
 	// request is answered with StatusErr; the process survives).
 	EvSrvPanic
-	// EvSrvShed counts writes shed with StatusOverloaded because the
-	// shard's in-flight budget was exhausted.
+	// EvSrvShed counts writes shed with StatusOverloaded: the WAL's
+	// fsync queue was over budget, or the queue-node pool could not
+	// cover the write.
 	EvSrvShed
 	// EvSrvReap counts connections reaped by the server's read deadline
 	// (idle or slow-loris peers).
@@ -123,7 +124,7 @@ const (
 	// EvWalAppendRec counts record batches appended to a WAL.
 	EvWalAppendRec
 	// EvWalAppendOps counts individual operations appended to a WAL
-	// (each record carries one request's writes to one shard).
+	// (each record carries one request's writes).
 	EvWalAppendOps
 	// EvWalSync counts fsyncs issued by the group-commit machinery
 	// (ticks, always-policy batches and segment seals alike).
@@ -146,7 +147,7 @@ const (
 	// checkpoint made them redundant.
 	EvWalSegReclaim
 	// EvWalLagShed counts writes shed with StatusOverloaded because the
-	// shard's fsync queue was lagging past its budget.
+	// log's fsync queue was lagging past its budget.
 	EvWalLagShed
 
 	// NumEvents is the number of counter slots; it is NOT an event.

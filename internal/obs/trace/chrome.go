@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -21,11 +20,10 @@ type chromeEvent struct {
 }
 
 // WriteChrome writes the retained spans in Chrome trace_event JSON
-// (the object form, with displayTimeUnit). Shards map to processes
-// (pid = shard+1; unsharded client/reader buffers land in pid 0),
-// workers map to threads, and stitched request spans carry their span
-// ID in args so one wire request reads as one tree. Cold path: runs
-// once at exit, allocation budget does not apply.
+// (the object form, with displayTimeUnit). The run is one named
+// process, workers map to threads, and stitched request spans carry
+// their span ID in args so one wire request reads as one tree. Cold
+// path: runs once at exit, allocation budget does not apply.
 func (t *Tracer) WriteChrome(w io.Writer) error {
 	if t == nil {
 		return nil
@@ -50,33 +48,13 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		_, err = bw.Write(raw)
 		return err
 	}
-	// Name the processes once per distinct pid.
-	seen := make(map[int]bool)
-	for _, s := range spans {
-		pid := int(s.Shard) + 1
-		if pid < 0 {
-			pid = 0
-		}
-		if seen[pid] {
-			continue
-		}
-		seen[pid] = true
-		name := "clients/readers"
-		if pid > 0 {
-			name = fmt.Sprintf("shard %d", pid-1)
-		}
-		if err := emit(chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": name},
-		}); err != nil {
-			return err
-		}
+	if err := emit(chromeEvent{
+		Name: "process_name", Ph: "M",
+		Args: map[string]any{"name": "optiql"},
+	}); err != nil {
+		return err
 	}
 	for _, s := range spans {
-		pid := int(s.Shard) + 1
-		if pid < 0 {
-			pid = 0
-		}
 		args := map[string]any{"key": s.Key}
 		if s.ID != 0 {
 			args["span"] = s.ID
@@ -85,7 +63,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			args["flags"] = s.Flags
 		}
 		if err := emit(chromeEvent{
-			Name: s.Kind.Name(), Ph: "X", Pid: pid, Tid: int(s.Worker),
+			Name: s.Kind.Name(), Ph: "X", Tid: int(s.Worker),
 			Ts:   float64(s.Start) / 1e3,
 			Dur:  float64(s.Dur) / 1e3,
 			Args: args,

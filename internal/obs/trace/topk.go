@@ -19,7 +19,7 @@ type hotItem struct {
 // Counts decay by halving every decayEvery offers so the hot set
 // follows workload shift instead of being dominated by history. The
 // sketch is not concurrency-safe; callers wrap it in a mutex
-// (shardSketch). Offers happen only for sampled operations, so a
+// (lockedSketch). Offers happen only for sampled operations, so a
 // linear scan over k<=64 slots is cheaper than any pointer-chasing
 // structure and keeps the hot path allocation-free.
 type sketch struct {
@@ -101,27 +101,6 @@ func (s *sketch) ranked() []HotItem {
 		}
 		return out[i].Key < out[j].Key
 	})
-	return out
-}
-
-// rank sorts a merged key->item map, hottest first, capped at k.
-func rank(m map[uint64]HotItem, k int) []HotItem {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]HotItem, 0, len(m))
-	for _, it := range m {
-		out = append(out, it)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
 	return out
 }
 

@@ -1,7 +1,7 @@
 // Package trace is the contention profiler under internal/obs: sampled,
 // allocation-free span recording into per-worker fixed-capacity ring
-// buffers, per-shard lock-wait histograms (internal/hist) and
-// space-saving top-K sketches of hot keys and hot tree nodes.
+// buffers, lock-wait histograms (internal/hist) and space-saving top-K
+// sketches of hot keys and hot tree nodes.
 //
 // The design follows the same constraint as the event counters one
 // package up: the lock word and its operations stay untouched, so all
@@ -123,7 +123,6 @@ const FlagHandover uint8 = 1 << 0
 type Span struct {
 	Kind   Kind
 	Flags  uint8
-	Shard  int16
 	Worker int32
 	Start  int64
 	Dur    int64
@@ -139,10 +138,6 @@ type Config struct {
 	// SampleEvery records 1 in N sampling decisions, rounded up to a
 	// power of two (default 1024; 1 records every decision).
 	SampleEvery int
-	// Shards partitions the hot-key sketches (default 1). Keys are
-	// attributed to the shard the caller names; the hot-node sketch is
-	// global (a lock's shard is not known at the lock layer).
-	Shards int
 	// TopK is each sketch's capacity (default 32).
 	TopK int
 	// DecayEvery halves every sketch count after that many offers, so
@@ -160,9 +155,6 @@ func (c *Config) normalize() {
 		c.SampleEvery = 1024
 	}
 	c.SampleEvery = ceilPow2(c.SampleEvery)
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	if c.TopK <= 0 {
 		c.TopK = 32
 	}
@@ -179,18 +171,31 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// shardSketch is one shard's hot-key sketch behind its own mutex.
-// Offers happen only on sampled operations, so contention on the mutex
-// is negligible at production sampling rates.
-type shardSketch struct {
+// lockedSketch is a sketch behind its own mutex. Offers happen only on
+// sampled operations, so contention on the mutex is negligible at
+// production sampling rates.
+type lockedSketch struct {
 	mu sync.Mutex
 	s  sketch
 }
 
+//optiql:noalloc
+func (l *lockedSketch) offer(key uint64) {
+	l.mu.Lock()
+	l.s.offer(key)
+	l.mu.Unlock()
+}
+
+func (l *lockedSketch) ranked() []HotItem {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.s.ranked()
+}
+
 // Tracer owns a run's trace state: the epoch of its monotonic clock,
-// every worker Buf it handed out, the per-shard hot-key sketches and
-// the global hot-node sketch. A nil *Tracer hands out nil (disabled)
-// Bufs, so callers can thread one pointer through unconditionally.
+// every worker Buf it handed out, the hot-key sketch and the hot-node
+// sketch. A nil *Tracer hands out nil (disabled) Bufs, so callers can
+// thread one pointer through unconditionally.
 type Tracer struct {
 	cfg   Config
 	epoch time.Time
@@ -198,18 +203,15 @@ type Tracer struct {
 	mu   sync.Mutex
 	bufs []*Buf
 
-	keys  []shardSketch
-	nodes shardSketch
+	keys  lockedSketch
+	nodes lockedSketch
 }
 
 // New builds a tracer for cfg and starts its clock.
 func New(cfg Config) *Tracer {
 	cfg.normalize()
 	t := &Tracer{cfg: cfg, epoch: time.Now()}
-	t.keys = make([]shardSketch, cfg.Shards)
-	for i := range t.keys {
-		t.keys[i].s.init(cfg.TopK, cfg.DecayEvery)
-	}
+	t.keys.s.init(cfg.TopK, cfg.DecayEvery)
 	t.nodes.s.init(cfg.TopK, cfg.DecayEvery)
 	return t
 }
@@ -222,19 +224,16 @@ func (t *Tracer) SampleEvery() int {
 	return t.cfg.SampleEvery
 }
 
-// NewBuf creates and registers one worker's span buffer. shard labels
-// the buffer's lock-wait histogram and default key-sketch partition
-// (negative = unsharded: a client or connection-reader buffer, folded
-// into the merged histogram only); worker labels the Chrome-export
-// row. On a nil tracer it returns nil, a valid disabled buffer.
-func (t *Tracer) NewBuf(shard, worker int) *Buf {
+// NewBuf creates and registers one worker's span buffer; worker labels
+// the Chrome-export row. On a nil tracer it returns nil, a valid
+// disabled buffer.
+func (t *Tracer) NewBuf(worker int) *Buf {
 	if t == nil {
 		return nil
 	}
 	b := &Buf{
 		tr:     t,
 		epoch:  t.epoch,
-		shard:  int16(shard),
 		worker: int32(worker),
 		mask:   uint64(t.cfg.SampleEvery - 1),
 		ring:   make([]Span, t.cfg.BufCap),
@@ -252,7 +251,6 @@ func (t *Tracer) NewBuf(shard, worker int) *Buf {
 type Buf struct {
 	tr     *Tracer
 	epoch  time.Time
-	shard  int16
 	worker int32
 
 	// ctr/mask implement 1-in-N sampling. ctr is unsynchronized by
@@ -301,7 +299,7 @@ func (b *Buf) Record(k Kind, flags uint8, start, dur int64, id, key uint64) {
 	}
 	b.mu.Lock()
 	b.ring[b.pos&uint64(len(b.ring)-1)] = Span{
-		Kind: k, Flags: flags, Shard: b.shard, Worker: b.worker,
+		Kind: k, Flags: flags, Worker: b.worker,
 		Start: start, Dur: dur, ID: id, Key: key,
 	}
 	b.pos++
@@ -329,7 +327,7 @@ func (b *Buf) LockWait(start, dur int64, flags uint8, lock uint64) {
 	}
 	b.mu.Lock()
 	b.ring[b.pos&uint64(len(b.ring)-1)] = Span{
-		Kind: KindLockWait, Flags: flags, Shard: b.shard, Worker: b.worker,
+		Kind: KindLockWait, Flags: flags, Worker: b.worker,
 		Start: start, Dur: dur, Key: lock,
 	}
 	b.pos++
@@ -338,37 +336,24 @@ func (b *Buf) LockWait(start, dur int64, flags uint8, lock uint64) {
 	b.NoteNode(lock)
 }
 
-// NoteKey offers a key to shard's hot-key sketch (shard < 0 uses the
-// buffer's own shard; unsharded buffers fall back to partition 0).
+// NoteKey offers a key to the hot-key sketch.
 //
 //optiql:noalloc
-func (b *Buf) NoteKey(shard int, key uint64) {
+func (b *Buf) NoteKey(key uint64) {
 	if b == nil {
 		return
 	}
-	if shard < 0 {
-		shard = int(b.shard)
-	}
-	if shard < 0 || shard >= len(b.tr.keys) {
-		shard = 0
-	}
-	ss := &b.tr.keys[shard]
-	ss.mu.Lock()
-	ss.s.offer(key)
-	ss.mu.Unlock()
+	b.tr.keys.offer(key)
 }
 
-// NoteNode offers a lock/node identity to the global hot-node sketch.
+// NoteNode offers a lock/node identity to the hot-node sketch.
 //
 //optiql:noalloc
 func (b *Buf) NoteNode(id uint64) {
 	if b == nil {
 		return
 	}
-	ns := &b.tr.nodes
-	ns.mu.Lock()
-	ns.s.offer(id)
-	ns.mu.Unlock()
+	b.tr.nodes.offer(id)
 }
 
 // HotItem is one sketch entry: an approximate count and its maximum
@@ -379,14 +364,6 @@ type HotItem struct {
 	Err   uint64
 }
 
-// ShardSnap is one shard's merged view.
-type ShardSnap struct {
-	// Wait merges the lock-wait histograms of this shard's buffers.
-	Wait hist.Histogram
-	// Keys is the shard's hot-key ranking, hottest first.
-	Keys []HotItem
-}
-
 // Snapshot is a point-in-time merged view of a tracer. Safe to take
 // while workers are still recording.
 type Snapshot struct {
@@ -395,14 +372,10 @@ type Snapshot struct {
 	// overwritten by ring wraparound. Retained = Recorded - Dropped.
 	Recorded uint64
 	Dropped  uint64
-	// Wait merges every buffer's lock-wait histogram (sharded and
-	// unsharded alike).
+	// Wait merges every buffer's lock-wait histogram.
 	Wait hist.Histogram
-	// Shards holds the per-shard views (buffers with shard < 0
-	// contribute to Wait only).
-	Shards []ShardSnap
-	// Keys is the cross-shard hot-key ranking; Nodes the global
-	// hot-node ranking. Hottest first, capped at TopK.
+	// Keys is the hot-key ranking; Nodes the hot-node ranking.
+	// Hottest first, capped at TopK.
 	Keys  []HotItem
 	Nodes []HotItem
 }
@@ -413,7 +386,6 @@ func (t *Tracer) Snapshot() *Snapshot {
 		return nil
 	}
 	snap := &Snapshot{SampleEvery: t.cfg.SampleEvery}
-	snap.Shards = make([]ShardSnap, t.cfg.Shards)
 	t.mu.Lock()
 	bufs := t.bufs
 	t.mu.Unlock()
@@ -424,30 +396,10 @@ func (t *Tracer) Snapshot() *Snapshot {
 			snap.Dropped += b.pos - uint64(len(b.ring))
 		}
 		snap.Wait.Merge(&b.wait)
-		if s := int(b.shard); s >= 0 && s < len(snap.Shards) {
-			snap.Shards[s].Wait.Merge(&b.wait)
-		}
 		b.mu.Unlock()
 	}
-	merged := make(map[uint64]HotItem)
-	for i := range t.keys {
-		ss := &t.keys[i]
-		ss.mu.Lock()
-		items := ss.s.ranked()
-		ss.mu.Unlock()
-		snap.Shards[i].Keys = items
-		for _, it := range items {
-			m := merged[it.Key]
-			m.Key = it.Key
-			m.Count += it.Count
-			m.Err += it.Err
-			merged[it.Key] = m
-		}
-	}
-	snap.Keys = rank(merged, t.cfg.TopK)
-	t.nodes.mu.Lock()
-	snap.Nodes = t.nodes.s.ranked()
-	t.nodes.mu.Unlock()
+	snap.Keys = t.keys.ranked()
+	snap.Nodes = t.nodes.ranked()
 	return snap
 }
 

@@ -11,7 +11,7 @@ import (
 
 func TestSamplingRate(t *testing.T) {
 	tr := New(Config{SampleEvery: 4})
-	b := tr.NewBuf(0, 0)
+	b := tr.NewBuf(0)
 	hits := 0
 	for i := 0; i < 4096; i++ {
 		if b.Sample() {
@@ -22,7 +22,7 @@ func TestSamplingRate(t *testing.T) {
 		t.Fatalf("SampleEvery=4: got %d hits in 4096 draws, want 1024", hits)
 	}
 	// SampleEvery 1 records every decision.
-	b1 := New(Config{SampleEvery: 1}).NewBuf(0, 0)
+	b1 := New(Config{SampleEvery: 1}).NewBuf(0)
 	for i := 0; i < 100; i++ {
 		if !b1.Sample() {
 			t.Fatal("SampleEvery=1 must always sample")
@@ -35,7 +35,7 @@ func TestNilSafety(t *testing.T) {
 	if tr.SampleEvery() != 0 {
 		t.Fatal("nil tracer SampleEvery")
 	}
-	b := tr.NewBuf(0, 0) // nil
+	b := tr.NewBuf(0) // nil
 	if b != nil {
 		t.Fatal("nil tracer must hand out nil bufs")
 	}
@@ -49,7 +49,7 @@ func TestNilSafety(t *testing.T) {
 	b.Record(KindLockWait, 0, 0, 0, 0, 0)
 	b.Event(KindOpRestart, 0, 1)
 	b.LockWait(0, 10, FlagHandover, 7)
-	b.NoteKey(0, 1)
+	b.NoteKey(1)
 	b.NoteNode(1)
 	if s := tr.Snapshot(); s != nil {
 		t.Fatal("nil tracer snapshot not nil")
@@ -64,7 +64,7 @@ func TestNilSafety(t *testing.T) {
 
 func TestRingOverwrite(t *testing.T) {
 	tr := New(Config{BufCap: 8, SampleEvery: 1})
-	b := tr.NewBuf(0, 0)
+	b := tr.NewBuf(0)
 	for i := 0; i < 20; i++ {
 		b.Record(KindTreeOp, 0, int64(i), 1, 0, uint64(i))
 	}
@@ -86,32 +86,24 @@ func TestRingOverwrite(t *testing.T) {
 	}
 }
 
+// TestLockWaitHistogramAndShards: every buffer's lock waits merge
+// into one histogram, and their lock identities into one hot-node
+// sketch; there is no per-shard breakdown.
 func TestLockWaitHistogramAndShards(t *testing.T) {
-	tr := New(Config{Shards: 2, SampleEvery: 1})
-	b0 := tr.NewBuf(0, 0)
-	b1 := tr.NewBuf(1, 1)
-	rd := tr.NewBuf(-1, 2) // unsharded reader buf
+	tr := New(Config{SampleEvery: 1})
+	b0 := tr.NewBuf(0)
+	b1 := tr.NewBuf(1)
 	for i := 0; i < 100; i++ {
 		b0.LockWait(0, 1000, 0, 0xA)
 		b1.LockWait(0, 2000, FlagHandover, 0xB)
 	}
-	rd.LockWait(0, 5000, 0, 0xC)
+	b1.LockWait(0, 5000, 0, 0xC)
 	snap := tr.Snapshot()
 	if got := snap.Wait.Count(); got != 201 {
 		t.Fatalf("merged wait count = %d, want 201", got)
 	}
-	if len(snap.Shards) != 2 {
-		t.Fatalf("shards = %d, want 2", len(snap.Shards))
-	}
-	if got := snap.Shards[0].Wait.Count(); got != 100 {
-		t.Fatalf("shard 0 wait count = %d, want 100", got)
-	}
-	if got := snap.Shards[1].Wait.Count(); got != 100 {
-		t.Fatalf("shard 1 wait count = %d, want 100", got)
-	}
-	// Lock identities land in the global hot-node sketch.
-	if len(snap.Nodes) == 0 {
-		t.Fatal("no hot nodes recorded")
+	if len(snap.Nodes) != 3 {
+		t.Fatalf("hot nodes = %+v, want 0xA, 0xB and 0xC", snap.Nodes)
 	}
 	top := snap.Nodes[0]
 	if top.Key != 0xA && top.Key != 0xB {
@@ -119,31 +111,19 @@ func TestLockWaitHistogramAndShards(t *testing.T) {
 	}
 }
 
+// TestNoteKeySharding: keys offered from any buffer land in the one
+// hot-key sketch, hottest first.
 func TestNoteKeySharding(t *testing.T) {
-	tr := New(Config{Shards: 2, SampleEvery: 1, TopK: 4})
-	b := tr.NewBuf(1, 0)
-	b.NoteKey(0, 10)  // explicit shard
-	b.NoteKey(-1, 20) // buf's own shard (1)
-	b.NoteKey(99, 30) // out of range clamps to 0
-	rd := tr.NewBuf(-1, 1)
-	rd.NoteKey(-1, 40) // unsharded buf falls back to shard 0
+	tr := New(Config{SampleEvery: 1, TopK: 4})
+	b := tr.NewBuf(0)
+	rd := tr.NewBuf(1)
+	b.NoteKey(10)
+	b.NoteKey(20)
+	rd.NoteKey(20)
+	rd.NoteKey(30)
 	snap := tr.Snapshot()
-	has := func(items []HotItem, key uint64) bool {
-		for _, it := range items {
-			if it.Key == key {
-				return true
-			}
-		}
-		return false
-	}
-	if !has(snap.Shards[0].Keys, 10) || !has(snap.Shards[0].Keys, 30) || !has(snap.Shards[0].Keys, 40) {
-		t.Fatalf("shard 0 keys wrong: %+v", snap.Shards[0].Keys)
-	}
-	if !has(snap.Shards[1].Keys, 20) {
-		t.Fatalf("shard 1 keys wrong: %+v", snap.Shards[1].Keys)
-	}
-	if !has(snap.Keys, 10) || !has(snap.Keys, 20) {
-		t.Fatalf("merged keys wrong: %+v", snap.Keys)
+	if len(snap.Keys) != 3 || snap.Keys[0] != (HotItem{Key: 20, Count: 2}) {
+		t.Fatalf("keys = %+v, want 20 (count 2) first, then 10 and 30", snap.Keys)
 	}
 }
 
@@ -152,7 +132,7 @@ func TestNoteKeySharding(t *testing.T) {
 // first, within the space-saving error bound.
 func TestTopKZipfian(t *testing.T) {
 	tr := New(Config{SampleEvery: 1, TopK: 64, DecayEvery: -1})
-	b := tr.NewBuf(0, 0)
+	b := tr.NewBuf(0)
 	const n = 1024
 	const draws = 40000
 	z := workload.NewZipfian(n, 0.99)
@@ -161,7 +141,7 @@ func TestTopKZipfian(t *testing.T) {
 	for i := 0; i < draws; i++ {
 		k := workload.Dense.Key(z.Next(rng))
 		truth[k]++
-		b.NoteKey(0, k)
+		b.NoteKey(k)
 	}
 	var hotKey, hotCount uint64
 	for k, c := range truth {
@@ -186,14 +166,14 @@ func TestTopKZipfian(t *testing.T) {
 
 func TestSketchDecay(t *testing.T) {
 	tr := New(Config{SampleEvery: 1, TopK: 8, DecayEvery: 64})
-	b := tr.NewBuf(0, 0)
+	b := tr.NewBuf(0)
 	// Old regime: key 1 dominates.
 	for i := 0; i < 64; i++ {
-		b.NoteKey(0, 1)
+		b.NoteKey(1)
 	}
 	// Shifted regime: key 2 dominates from now on.
 	for i := 0; i < 512; i++ {
-		b.NoteKey(0, 2)
+		b.NoteKey(2)
 	}
 	snap := tr.Snapshot()
 	if snap.Keys[0].Key != 2 {
@@ -202,11 +182,11 @@ func TestSketchDecay(t *testing.T) {
 }
 
 func TestChromeExport(t *testing.T) {
-	tr := New(Config{Shards: 2, SampleEvery: 1})
-	b := tr.NewBuf(0, 3)
+	tr := New(Config{SampleEvery: 1})
+	b := tr.NewBuf(3)
 	b.LockWait(100, 500, FlagHandover, 0xFEED)
 	b.Record(KindReqExec, 0, 700, 200, 42, 7)
-	rd := tr.NewBuf(-1, 9)
+	rd := tr.NewBuf(9)
 	rd.Event(KindCliRetry, 0, 0)
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
@@ -236,7 +216,7 @@ func TestChromeExport(t *testing.T) {
 		switch {
 		case ev.Ph == "M" && ev.Name == "process_name":
 			meta = true
-		case ev.Name == KindLockWait.Name() && ev.Pid == 1 && ev.Tid == 3:
+		case ev.Name == KindLockWait.Name() && ev.Tid == 3:
 			wait = true
 		case ev.Name == KindReqExec.Name():
 			if _, ok := ev.Args["span"]; ok {
@@ -252,18 +232,18 @@ func TestChromeExport(t *testing.T) {
 // TestConcurrentSnapshot drives recorders and snapshotters in parallel
 // so the CI -race run covers the scrape-while-recording paths.
 func TestConcurrentSnapshot(t *testing.T) {
-	tr := New(Config{Shards: 4, SampleEvery: 1, BufCap: 64})
+	tr := New(Config{SampleEvery: 1, BufCap: 64})
 	var recorders sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		recorders.Add(1)
 		go func(w int) {
 			defer recorders.Done()
-			b := tr.NewBuf(w%4, w)
+			b := tr.NewBuf(w)
 			for i := 0; i < 5000; i++ {
 				if b.Sample() {
 					t0 := b.Now()
 					b.LockWait(t0, b.Now()-t0, 0, uint64(w))
-					b.NoteKey(-1, uint64(i%17))
+					b.NoteKey(uint64(i % 17))
 					b.Event(KindOpRestart, 0, uint64(i))
 				}
 			}
@@ -301,7 +281,7 @@ func TestConcurrentSnapshot(t *testing.T) {
 
 func TestAllocFreeHotPath(t *testing.T) {
 	tr := New(Config{SampleEvery: 1, TopK: 16})
-	b := tr.NewBuf(0, 0)
+	b := tr.NewBuf(0)
 	var k uint64
 	allocs := testing.AllocsPerRun(2000, func() {
 		k++
@@ -309,7 +289,7 @@ func TestAllocFreeHotPath(t *testing.T) {
 			t0 := b.Now()
 			b.LockWait(t0, b.Now()-t0, FlagHandover, k&0xFF)
 			b.Record(KindTreeOp, 0, t0, 1, 0, k)
-			b.NoteKey(0, k&0x3F)
+			b.NoteKey(k & 0x3F)
 			b.Event(KindOpRestart, 0, k)
 		}
 	})

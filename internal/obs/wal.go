@@ -1,11 +1,10 @@
 package obs
 
 // WALReport is the durability section of a run report and the payload
-// of the live /debug/wal endpoint: merged write-ahead-log counters
-// across shards, the per-shard sequence watermarks and the fsync
-// latency distribution. Built by the server from its shard logs (see
-// internal/server and internal/wal); nil when the server runs without
-// a WAL.
+// of the live /debug/wal endpoint: the write-ahead log's counters, its
+// sequence watermarks and the fsync latency distribution. Built by the
+// server from its log (see internal/server and internal/wal); nil when
+// the server runs without a WAL.
 type WALReport struct {
 	// Enabled distinguishes "no WAL configured" (the endpoint then
 	// serves {"enabled":false}) from a WAL with all-zero counters.
@@ -16,7 +15,7 @@ type WALReport struct {
 	Dir string `json:"dir,omitempty"`
 
 	// AppendedRecords / AppendedOps / AppendedBytes count the append
-	// stream since startup (one record per request per shard).
+	// stream since startup (one record per request with writes).
 	AppendedRecords uint64 `json:"appended_records"`
 	AppendedOps     uint64 `json:"appended_ops"`
 	AppendedBytes   uint64 `json:"appended_bytes"`
@@ -42,14 +41,13 @@ type WALReport struct {
 	TornTruncations uint64 `json:"torn_truncations"`
 	CheckpointPairs uint64 `json:"checkpoint_pairs"`
 
-	// DurableSeq / AppliedSeq / PendingOps are the per-shard live
-	// watermarks: the last fsynced batch sequence, the last
-	// index-applied sequence, and ops appended but not yet
-	// acknowledged.
-	DurableSeq []uint64 `json:"durable_seq"`
-	AppliedSeq []uint64 `json:"applied_seq"`
-	PendingOps []int64  `json:"pending_ops"`
+	// DurableSeq / AppliedSeq / PendingOps are the live watermarks:
+	// the last fsynced record sequence, the last index-applied
+	// sequence, and ops appended but not yet acknowledged.
+	DurableSeq uint64 `json:"durable_seq"`
+	AppliedSeq uint64 `json:"applied_seq"`
+	PendingOps int64  `json:"pending_ops"`
 
-	// FsyncLatency is the merged fsync duration distribution.
+	// FsyncLatency is the fsync duration distribution.
 	FsyncLatency *LatencyReport `json:"fsync_latency,omitempty"`
 }

@@ -84,7 +84,6 @@ func TestChaosE2EOracle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			goroutines := runtime.NumGoroutine()
 			srv, addr := startServer(t, Config{
-				Shards:       4,
 				ReadTimeout:  2 * time.Second,
 				WriteTimeout: 2 * time.Second,
 				Chaos:        &tc.chaos,
@@ -308,7 +307,7 @@ func runChaosWorker(w int, addr string, ops int, corrupt bool, model map[uint64]
 // serving new connections.
 func TestServerSurvivesHandlerPanic(t *testing.T) {
 	const boom = uint64(0xDEAD)
-	srv, addr := startServer(t, Config{Shards: 2})
+	srv, addr := startServer(t, Config{})
 	srv.panicKey.Store(boom)
 	dial := func() *wire.Client {
 		t.Helper()

@@ -81,9 +81,9 @@ type conn struct {
 	srv   *Server
 	nc    net.Conn
 	respQ chan *pending
-	// logged collects the current request's writes to WAL shards until
-	// dispatch appends and applies them shard by shard; walOps is the
-	// record scratch for one shard's share. Reader goroutine only.
+	// logged collects the current request's writes until dispatch
+	// appends and applies them as one record; walOps is the record
+	// scratch. Reader goroutine only.
 	logged []loggedWrite
 	walOps []wal.Op
 	// id is the connection's process-unique sequence number; reqSeq
@@ -230,7 +230,7 @@ func (c *conn) fail(err error) {
 // reporting false if a handler panic was contained while doing so.
 // Every op runs inline, so a later request on this connection sees
 // this one's writes in program order. With a WAL the request's writes
-// are collected and then appended and applied shard by shard
+// are collected and then appended as one record and applied
 // (commitLogged), after its reads: a batch's reads need not observe
 // its own writes.
 func (c *conn) dispatch(ctx *locks.Ctx, p *pending) bool {
@@ -254,8 +254,12 @@ func (c *conn) dispatch(ctx *locks.Ctx, p *pending) bool {
 	} else {
 		ok = c.dispatchOne(ctx, p, &p.req, &p.resp)
 	}
-	if len(c.logged) > 0 && !c.commitLogged(ctx, p) {
-		ok = false
+	if len(c.logged) > 0 {
+		if !c.commitLogged(ctx, p) {
+			ok = false
+		}
+		clear(c.logged)
+		c.logged = c.logged[:0]
 	}
 	// A connection holds no queue node between requests.
 	ctx.Unreserve()
@@ -278,16 +282,15 @@ func (c *conn) dispatchOne(ctx *locks.Ctx, p *pending, req *wire.Request, slot *
 	}()
 	switch req.Op {
 	case wire.OpGet:
-		si := s.shardIdx(req.Key)
 		// The inline-read execute span covers the lookup — the
 		// request's whole server-side service time after decode.
 		var t0 int64
 		if p.span != 0 {
 			t0 = c.tb.Now()
-			c.tb.NoteKey(si, req.Key)
+			c.tb.NoteKey(req.Key)
 		}
 		s.maybePanic(req.Key)
-		if v, ok := s.shards[si].idx.Lookup(ctx, req.Key); ok {
+		if v, ok := s.idx.Lookup(ctx, req.Key); ok {
 			slot.Status = wire.StatusOK
 			slot.Value = v
 		} else {
@@ -304,9 +307,9 @@ func (c *conn) dispatchOne(ctx *locks.Ctx, p *pending, req *wire.Request, slot *
 		if p.span != 0 {
 			t0 = c.tb.Now()
 		}
-		pairs, sb := s.scanAll(ctx, req.Key, int(req.Max))
+		sb := scanBufPool.Get().(*scanBuf)
 		slot.Status = wire.StatusOK
-		slot.Pairs = pairs
+		slot.Pairs = s.idx.Scan(ctx, req.Key, int(req.Max), sb.kvs)
 		p.scanBufs = append(p.scanBufs, sb)
 		if p.span != 0 {
 			c.tb.Record(trace.KindReqExec, 0, t0, c.tb.Now()-t0, p.span, req.Key)
@@ -315,24 +318,22 @@ func (c *conn) dispatchOne(ctx *locks.Ctx, p *pending, req *wire.Request, slot *
 		s.stats.ops.Add(1)
 		p.opDone()
 	case wire.OpPut, wire.OpDelete:
-		si := s.shardIdx(req.Key)
-		sh := s.shards[si]
 		if s.writeQNodes > 0 && !ctx.Reserve(s.writeQNodes) {
 			// The queue-node pool cannot cover this write: shed it before
 			// it touches the index, not in the middle of an acquire.
 			c.shed(p, slot)
 			return true
 		}
-		if sh.wal != nil {
-			if c.walGate(sh, p, slot) {
-				// Answered here: the shard's log is poisoned (StatusErr)
-				// or its fsync queue is over budget (StatusOverloaded).
+		if s.wal != nil {
+			if c.walGate(p, slot) {
+				// Answered here: the log is poisoned (StatusErr) or its
+				// fsync queue is over budget (StatusOverloaded).
 				return true
 			}
-			c.logged = append(c.logged, loggedWrite{si: si, req: req, slot: slot})
+			c.logged = append(c.logged, loggedWrite{req: req, slot: slot})
 			return true
 		}
-		ok = c.applyWrite(ctx, sh.idx, p, si, req, slot)
+		ok = c.applyWrite(ctx, p, req, slot)
 		p.opDone()
 		return ok
 	default:
@@ -352,11 +353,11 @@ func (c *conn) shed(p *pending, slot *wire.Response) {
 	p.opDone()
 }
 
-// applyWrite runs one PUT or DELETE on shard si's index and fills its
-// slot; the caller completes the op, since with a WAL the ack waits
-// for the log. A panic is contained per op: the slot is answered
-// StatusErr and false tells the caller to close the connection.
-func (c *conn) applyWrite(ctx *locks.Ctx, idx Index, p *pending, si int, req *wire.Request, slot *wire.Response) (ok bool) {
+// applyWrite runs one PUT or DELETE on the index and fills its slot;
+// the caller completes the op, since with a WAL the ack waits for the
+// log. A panic is contained per op: the slot is answered StatusErr and
+// false tells the caller to close the connection.
+func (c *conn) applyWrite(ctx *locks.Ctx, p *pending, req *wire.Request, slot *wire.Response) (ok bool) {
 	s := c.srv
 	defer func() {
 		if r := recover(); r != nil {
@@ -367,16 +368,16 @@ func (c *conn) applyWrite(ctx *locks.Ctx, idx Index, p *pending, si int, req *wi
 	var t0 int64
 	if p.span != 0 {
 		t0 = c.tb.Now()
-		c.tb.NoteKey(si, req.Key)
+		c.tb.NoteKey(req.Key)
 	}
 	s.maybePanic(req.Key)
 	if req.Op == wire.OpPut {
 		slot.Status = wire.StatusOK
-		slot.Inserted = idx.Insert(ctx, req.Key, req.Value)
+		slot.Inserted = s.idx.Insert(ctx, req.Key, req.Value)
 		s.stats.puts.Add(1)
 	} else {
 		slot.Status = wire.StatusNotFound
-		if idx.Delete(ctx, req.Key) {
+		if s.idx.Delete(ctx, req.Key) {
 			slot.Status = wire.StatusOK
 		}
 		s.stats.deletes.Add(1)

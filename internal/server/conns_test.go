@@ -22,7 +22,7 @@ func TestManyConnections(t *testing.T) {
 	const conns = core.MaxQNodes + 76
 	for _, kind := range []string{"btree", "art"} {
 		t.Run(kind, func(t *testing.T) {
-			_, addr := startServer(t, Config{Index: kind, Shards: 4})
+			_, addr := startServer(t, Config{Index: kind})
 			ncs := make([]net.Conn, conns)
 			for i := range ncs {
 				nc, err := net.Dial("tcp", addr)

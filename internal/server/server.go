@@ -1,17 +1,16 @@
-// Package server exposes the OptiQL index substrates as a sharded
-// network key-value service: a TCP listener speaking the
-// length-prefixed binary protocol of internal/server/wire, a shard
-// router over N independent index instances and per-connection
-// pipelined request loops.
+// Package server exposes an OptiQL index substrate as a network
+// key-value service: a TCP listener speaking the length-prefixed
+// binary protocol of internal/server/wire, one shared index and
+// per-connection pipelined request loops.
 //
 // Each connection's reader runs its requests on its own lock context,
 // reads and writes alike. Without a write-ahead log, concurrent writers
 // from different connections meet on the index's locks — the case the
 // OptiQL queue and handover exist for. With one, a request's writes
-// are appended and applied per shard under that shard's mutex, and
-// their acks ride the log's group commit. Graceful shutdown stops
-// accepting, unblocks idle readers and lets every admitted request
-// complete before it seals the logs.
+// are appended as one record and applied under the server's WAL
+// mutex, and their acks ride the log's group commit. Graceful shutdown
+// stops accepting, unblocks idle readers and lets every admitted
+// request complete before it seals the log.
 package server
 
 import (
@@ -31,6 +30,7 @@ import (
 	"optiql/internal/obs"
 	"optiql/internal/obs/trace"
 	"optiql/internal/server/wire"
+	"optiql/internal/wal"
 )
 
 // Config parameterizes a Server.
@@ -41,8 +41,6 @@ type Config struct {
 	Index string
 	// Scheme is the lock scheme name (locks.ByName).
 	Scheme string
-	// Shards is the number of independent index partitions (default 4).
-	Shards int
 	// NodeSize is the B+-tree node size in bytes (btree only).
 	NodeSize int
 	// ReadTimeout bounds how long the server waits for a complete
@@ -59,15 +57,13 @@ type Config struct {
 	// `optiqld -chaos` and the chaos e2e tests).
 	Chaos *faults.Config
 	// Trace, when set, enables the contention profiler: sampled lock
-	// and request-phase spans, per-shard lock-wait histograms and
-	// hot-key sketches (internal/obs/trace). Its Shards field is
-	// overridden with the server's shard count.
+	// and request-phase spans, lock-wait histograms and hot-key and
+	// hot-node sketches (internal/obs/trace).
 	Trace *trace.Config
-	// WALDir, when set, enables the per-shard write-ahead log rooted
-	// there (one subdirectory per shard): startup replays existing
-	// segments into the shards, a request's writes to a shard are
-	// appended as one record before they are applied, and client acks
-	// wait for the Fsync policy.
+	// WALDir, when set, enables the write-ahead log in that directory:
+	// startup replays its checkpoint and segments into the index, a
+	// request's writes are appended as one record before they are
+	// applied, and client acks wait for the Fsync policy.
 	WALDir string
 	// Fsync is the WAL ack policy: wal.SyncAlways, wal.SyncInterval
 	// (default) or wal.SyncOff. Ignored without WALDir.
@@ -80,7 +76,7 @@ type Config struct {
 	// checkpoint trigger; zero means the wal defaults.
 	WALSegmentBytes    int64
 	WALCheckpointBytes int64
-	// WALSyncQueueMax bounds appended-but-unsynced ops per shard before
+	// WALSyncQueueMax bounds appended-but-unsynced ops before
 	// writes are shed with StatusOverloaded (interval policy only; zero
 	// disables shedding).
 	WALSyncQueueMax int
@@ -104,9 +100,6 @@ func (c *Config) normalize() error {
 	}
 	if _, err := locks.ByName(c.Scheme); err != nil {
 		return err
-	}
-	if c.Shards <= 0 {
-		c.Shards = 4
 	}
 	return nil
 }
@@ -144,15 +137,24 @@ type Stats struct {
 	Reaped uint64 `json:"reaped"`
 }
 
-// Server is the sharded KV service. Create with New, bind with Listen
+// Server is the KV service. Create with New, bind with Listen
 // (or Start), stop with Shutdown.
 type Server struct {
 	cfg    Config
 	scheme *locks.Scheme
 	pool   *core.Pool
 	reg    *obs.Registry
-	shards []*shard
+	idx    Index
 	inj    *faults.Injector
+	// wal is the write-ahead log (nil without Config.WALDir). walMu is
+	// held from a record's Append through its applies to NoteApplied,
+	// so the log's order is the index's apply order and Append has one
+	// caller at a time.
+	wal   *wal.Log
+	walMu sync.Mutex
+	// ckptCtx is the checkpoint snapshot scanner's lock context; it
+	// runs concurrently with the writers, so it has its own.
+	ckptCtx *locks.Ctx
 	// writeQNodes is the most pool queue nodes one write holds at once
 	// (0 when the scheme's writers take none); a write reserves them
 	// before it touches the index.
@@ -206,7 +208,7 @@ func (s *Server) answerPanic(slot *wire.Response, r any) {
 	s.resil.Inc(obs.EvSrvPanic)
 }
 
-// New builds the shards and, with a WAL, replays the logs into them.
+// New builds the index and, with a WAL, replays the log into it.
 // The server does not accept connections until Listen/Start.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.normalize(); err != nil {
@@ -227,9 +229,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.resil = s.reg.NewCounters()
 	if cfg.Trace != nil {
-		tc := *cfg.Trace
-		tc.Shards = cfg.Shards
-		s.tracer = trace.New(tc)
+		s.tracer = trace.New(*cfg.Trace)
 	}
 	if cfg.Chaos.Any() {
 		chaos := *cfg.Chaos
@@ -240,15 +240,13 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.inj = faults.NewInjector(chaos)
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		idx, err := newIndex(cfg.Index, s.scheme, cfg.NodeSize)
-		if err != nil {
-			return nil, err
-		}
-		s.shards = append(s.shards, &shard{idx: idx})
+	idx, err := newIndex(cfg.Index, s.scheme, cfg.NodeSize)
+	if err != nil {
+		return nil, err
 	}
+	s.idx = idx
 	if cfg.WALDir != "" {
-		if err := s.openWALs(); err != nil {
+		if err := s.openWAL(); err != nil {
 			return nil, err
 		}
 	}
@@ -272,7 +270,7 @@ func (s *Server) getConnBuf(worker int) *trace.Buf {
 		return b
 	}
 	s.tbMu.Unlock()
-	return s.tracer.NewBuf(-1, worker)
+	return s.tracer.NewBuf(worker)
 }
 
 // putConnBuf returns a closed connection's trace buffer for reuse.
@@ -283,11 +281,6 @@ func (s *Server) putConnBuf(b *trace.Buf) {
 	s.tbMu.Lock()
 	s.tbFree = append(s.tbFree, b)
 	s.tbMu.Unlock()
-}
-
-// shardIdx routes a key to its partition index.
-func (s *Server) shardIdx(k uint64) int {
-	return int(shardHash(k) % uint64(len(s.shards)))
 }
 
 // Listen binds the configured address and returns it (useful with
@@ -350,7 +343,7 @@ func (s *Server) Start() (net.Addr, error) {
 
 // Shutdown gracefully stops the server: it stops accepting, unblocks
 // readers waiting for new requests, waits for every admitted request
-// to be executed and answered, then seals the shard logs. Requests a
+// to be executed and answered, then seals the log. Requests a
 // client has sent but the server has not yet read may go unanswered
 // (clients wanting a clean drain should half-close and read to EOF);
 // admitted requests are always completed. Returns ctx.Err() if the
@@ -371,10 +364,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	go func() {
 		s.connWG.Wait()
 		// No connection goroutines remain, so every admitted write is
-		// appended, applied and answered; seal the shard logs (flush +
-		// fsync + close) so a restart replays this state with no torn
-		// tail, under every fsync policy.
-		s.closeWALs()
+		// appended, applied and answered; seal the log (flush + fsync +
+		// close) so a restart replays this state with no torn tail, under
+		// every fsync policy.
+		s.closeWAL()
 		close(done)
 	}()
 	select {
@@ -406,14 +399,8 @@ func (s *Server) Stats() Stats {
 // Ctx the server has handed out.
 func (s *Server) Counters() obs.Snapshot { return s.reg.Snapshot() }
 
-// Len sums the shard index sizes (exact when quiescent).
-func (s *Server) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.idx.Len()
-	}
-	return n
-}
+// Len is the number of keys in the index (exact when quiescent).
+func (s *Server) Len() int { return s.idx.Len() }
 
 // AttachLive points a live observability source (the -obs /metrics
 // endpoint) at this server's event counters, completed-operation

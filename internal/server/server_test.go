@@ -12,7 +12,6 @@ import (
 	"optiql/internal/core"
 	"optiql/internal/indextest"
 	"optiql/internal/server/wire"
-	"optiql/internal/wal"
 	"optiql/internal/workload"
 )
 
@@ -58,52 +57,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestManyShardsServeWrites: shards hold no queue nodes, so New
-// accepts a shard count far past the pool's 1024/8 that per-shard
-// write reserves once allowed, WAL or not, and every shard serves a
-// write.
-func TestManyShardsServeWrites(t *testing.T) {
-	const shards = 200
-	for _, withWAL := range []bool{false, true} {
-		t.Run(fmt.Sprintf("wal=%v", withWAL), func(t *testing.T) {
-			cfg := Config{Shards: shards, Scheme: "OptiQL"}
-			if withWAL {
-				cfg.WALDir = t.TempDir()
-				cfg.Fsync = wal.SyncOff
-			}
-			srv, addr := startServer(t, cfg)
-			cl, err := wire.Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			// Find a key for every shard, then write them all in one pipe.
-			keys := make([]uint64, shards)
-			for k, found := uint64(1), 0; found < shards; k++ {
-				if si := srv.shardIdx(k); keys[si] == 0 {
-					keys[si] = k
-					found++
-				}
-			}
-			for _, k := range keys {
-				if err := cl.Send(wire.Put(k, k+1)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for si := range keys {
-				if resp, err := cl.Recv(); err != nil || resp.Status != wire.StatusOK {
-					t.Fatalf("put on shard %d = %+v, %v", si, resp, err)
-				}
-			}
-			for si, sh := range srv.shards {
-				if n := sh.idx.Len(); n != 1 {
-					t.Fatalf("shard %d holds %d keys, want 1", si, n)
-				}
-			}
-		})
-	}
-}
-
 // TestWriteShedWhenPoolDrained: a write reserves its queue nodes before
 // it touches the index, so with the pool drained a PUT is answered
 // OVERLOADED (and counted as shed) instead of panicking mid-acquire,
@@ -111,7 +64,7 @@ func TestManyShardsServeWrites(t *testing.T) {
 func TestWriteShedWhenPoolDrained(t *testing.T) {
 	for _, kind := range []string{"btree", "art"} {
 		t.Run(kind, func(t *testing.T) {
-			srv, addr := startServer(t, Config{Index: kind, Shards: 1, Scheme: "OptiQL"})
+			srv, addr := startServer(t, Config{Index: kind, Scheme: "OptiQL"})
 			cl, err := wire.Dial(addr)
 			if err != nil {
 				t.Fatal(err)
@@ -150,7 +103,7 @@ func TestWriteShedWhenPoolDrained(t *testing.T) {
 func TestBasicOps(t *testing.T) {
 	for _, kind := range []string{"btree", "art"} {
 		t.Run(kind, func(t *testing.T) {
-			_, addr := startServer(t, Config{Index: kind, Shards: 4})
+			_, addr := startServer(t, Config{Index: kind})
 			cl, err := wire.Dial(addr)
 			if err != nil {
 				t.Fatal(err)
@@ -256,14 +209,14 @@ func rawExchange(addr string, frame []byte) (wire.Response, error) {
 	return wire.ParseResponse(payload, &req)
 }
 
-// TestPipelinedE2E drives the full acceptance mix: >=4 shards, >=8
-// concurrent pipelined clients, gets/puts/deletes/scans/batches, then
+// TestPipelinedE2E drives the full acceptance mix: >=8 concurrent
+// pipelined clients, gets/puts/deletes/scans/batches, then
 // checks the server's counters against the clients' own tallies and
 // the resident keys against per-client oracles.
 func TestPipelinedE2E(t *testing.T) {
 	for _, kind := range []string{"btree", "art"} {
 		t.Run(kind, func(t *testing.T) {
-			srv, addr := startServer(t, Config{Index: kind, Shards: 4})
+			srv, addr := startServer(t, Config{Index: kind})
 
 			const clients = 8
 			ops := 1200
@@ -326,7 +279,7 @@ type e2eTally struct{ gets, puts, deletes, scans, batches, subops uint64 }
 // runE2EWorker drives one pipelined connection over its own key stripe
 // (keys carry the worker id in the top bits, so stripes are disjoint
 // and every response is checkable against the local oracle even though
-// all clients churn the same shards).
+// all clients churn the same index).
 func runE2EWorker(w int, addr string, ops int, tl *e2eTally, oracle map[uint64]uint64) error {
 	cl, err := wire.Dial(addr)
 	if err != nil {
@@ -463,7 +416,7 @@ func runE2EWorker(w int, addr string, ops int, tl *e2eTally, oracle map[uint64]u
 // must see an in-order prefix of OK batch responses, and the server's
 // put counter and resident keys must match that prefix exactly.
 func TestShutdownDrainsAdmittedBatches(t *testing.T) {
-	srv, addr := startServer(t, Config{Shards: 4})
+	srv, addr := startServer(t, Config{})
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -544,7 +497,7 @@ func TestShutdownUnblocksIdleConn(t *testing.T) {
 // TestReadYourWrites: a get pipelined immediately behind a put on the
 // same connection must observe it.
 func TestReadYourWrites(t *testing.T) {
-	_, addr := startServer(t, Config{Shards: 8})
+	_, addr := startServer(t, Config{})
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

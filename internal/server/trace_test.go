@@ -12,16 +12,15 @@ import (
 	"optiql/internal/workload"
 )
 
-// TestTraceContentionE2E drives a traced 2-shard server with a
-// Zipfian GET/PUT mix and checks the whole profiler path: the
+// TestTraceContentionE2E drives a traced server with a Zipfian
+// GET/PUT mix and checks the whole profiler path: the
 // /debug/contention endpoint must rank the client-side hottest key
-// first, report one section per shard, and the Chrome
-// export must be valid stitched JSON.
+// first and report lock waits, and the Chrome export must be valid
+// stitched JSON.
 func TestTraceContentionE2E(t *testing.T) {
 	s, addr := startServer(t, Config{
-		Index:  "btree",
-		Shards: 2,
-		Trace:  &trace.Config{SampleEvery: 1, BufCap: 4096, TopK: 64},
+		Index: "btree",
+		Trace: &trace.Config{SampleEvery: 1, BufCap: 4096, TopK: 64},
 	})
 
 	cl, err := wire.Dial(addr)
@@ -91,9 +90,6 @@ func TestTraceContentionE2E(t *testing.T) {
 	if rep.HotKeys[0].Key != hottest {
 		t.Fatalf("top hot key = %d (count %d), want client-side hottest %d (count %d)",
 			rep.HotKeys[0].Key, rep.HotKeys[0].Count, hottest, hotCount)
-	}
-	if len(rep.Shards) != 2 {
-		t.Fatalf("Shards len = %d, want 2", len(rep.Shards))
 	}
 	// Every PUT's exclusive acquire is traced at SampleEvery=1 on its
 	// connection's buffer, so the merged lock-wait histogram must have
@@ -175,7 +171,7 @@ func (w *traceBuf) Write(p []byte) (int, error) { w.b = append(w.b, p...); retur
 // TestTraceDisabledServer: with no Trace config the tracer accessors
 // are nil/no-op and the contention endpoint reports disabled.
 func TestTraceDisabledServer(t *testing.T) {
-	s, addr := startServer(t, Config{Index: "btree", Shards: 1})
+	s, addr := startServer(t, Config{Index: "btree"})
 	cl, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -208,9 +204,8 @@ func TestTraceDisabledServer(t *testing.T) {
 // per connection.
 func TestConnBufRecycling(t *testing.T) {
 	s, addr := startServer(t, Config{
-		Index:  "btree",
-		Shards: 1,
-		Trace:  &trace.Config{SampleEvery: 1, BufCap: 64},
+		Index: "btree",
+		Trace: &trace.Config{SampleEvery: 1, BufCap: 64},
 	})
 	for i := 0; i < 8; i++ {
 		cl, err := wire.Dial(addr)

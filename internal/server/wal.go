@@ -1,11 +1,12 @@
 package server
 
 import (
-	"cmp"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
+	"strings"
 	"sync"
 
 	"optiql/internal/hist"
@@ -15,112 +16,115 @@ import (
 	"optiql/internal/wal"
 )
 
-// This file is the server side of the durability path: opening one
-// write-ahead log per shard (replaying it into the shard's index
-// before the server accepts connections), a connection's per-shard
-// append-and-apply of its logged writes, the deferred-acknowledgement
-// batches that ride the log's group commit, and the merged durability
-// report.
+// This file is the server side of the durability path: opening the
+// write-ahead log (replaying it into the index before the server
+// accepts connections), a connection's append-and-apply of its logged
+// writes, the deferred-acknowledgement batches that ride the log's
+// group commit, and the durability report.
 
-// walMetaName is the layout descriptor at the WAL root. Shard routing
-// is baked into the per-shard log directories, so reopening a log tree
-// with a different shard count would replay keys into the wrong
-// shards; the meta file turns that mistake into a startup error.
-const walMetaName = "META"
+// walMetaName is the layout marker at the WAL root, and walLayout its
+// content: one log, whose segments and checkpoints sit at the root.
+// The marker keeps a later layout change from replaying this one by
+// mistake.
+const (
+	walMetaName = "META"
+	walLayout   = "optiql-wal v2\n"
+)
 
-// openWALs opens (and recovers) one log per shard under cfg.WALDir.
-// Called from New after the shards exist but before the server
-// accepts connections, so replay has the indexes to itself.
-func (s *Server) openWALs() error {
-	if err := s.checkWALMeta(); err != nil {
+// openWAL opens (and recovers) the log in cfg.WALDir. Called from New
+// after the index exists but before the server accepts connections,
+// so replay has the index to itself.
+func (s *Server) openWAL() error {
+	if err := s.checkWALLayout(); err != nil {
 		return err
 	}
 	s.walDefersAcks = s.cfg.Fsync != wal.SyncOff
 	replayCtx := locks.NewCtx(s.pool, 0)
 	defer replayCtx.Close()
-	for i, sh := range s.shards {
-		dir := filepath.Join(s.cfg.WALDir, fmt.Sprintf("shard-%03d", i))
-		// The checkpoint writer scans the shard concurrently with the
-		// writers, so it gets its own Ctx (closed in closeWALs). It only
-		// reads, and no read path takes a pool queue node, so it reserves
-		// none.
-		ckptCtx := locks.NewCtx(s.pool, 0)
-		ckptCtx.SetCounters(s.reg.NewCounters())
-		idx := sh.idx
-		wcfg := wal.Config{
-			Policy:          s.cfg.Fsync,
-			Interval:        s.cfg.FsyncInterval,
-			SegmentBytes:    s.cfg.WALSegmentBytes,
-			CheckpointBytes: s.cfg.WALCheckpointBytes,
-			SyncQueueMax:    s.cfg.WALSyncQueueMax,
-			SyncFile:        s.cfg.WALSyncFile,
-			Snapshot:        func(emit func(k, v uint64) error) error { return snapshotIndex(idx, ckptCtx, emit) },
-			Counters:        s.reg.NewCounters(),
-			Logf:            s.cfg.WALLogf,
-		}
-		l, _, err := wal.Open(dir, wcfg, func(_ uint64, ops []wal.Op) {
-			for j := range ops {
-				o := &ops[j]
-				if o.Op == wal.OpPut {
-					idx.Insert(replayCtx, o.Key, o.Val)
-				} else {
-					idx.Delete(replayCtx, o.Key)
-				}
-			}
-		})
-		if err != nil {
-			ckptCtx.Close()
-			s.closeWALs()
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		sh.wal = l
-		sh.ckptCtx = ckptCtx
+	// The checkpoint writer scans the index concurrently with the
+	// writers, so it gets its own Ctx (closed in closeWAL). It only
+	// reads, and no read path takes a pool queue node, so it reserves
+	// none.
+	ckptCtx := locks.NewCtx(s.pool, 0)
+	ckptCtx.SetCounters(s.reg.NewCounters())
+	idx := s.idx
+	wcfg := wal.Config{
+		Policy:          s.cfg.Fsync,
+		Interval:        s.cfg.FsyncInterval,
+		SegmentBytes:    s.cfg.WALSegmentBytes,
+		CheckpointBytes: s.cfg.WALCheckpointBytes,
+		SyncQueueMax:    s.cfg.WALSyncQueueMax,
+		SyncFile:        s.cfg.WALSyncFile,
+		Snapshot:        func(emit func(k, v uint64) error) error { return snapshotIndex(idx, ckptCtx, emit) },
+		Counters:        s.reg.NewCounters(),
+		Logf:            s.cfg.WALLogf,
 	}
+	l, _, err := wal.Open(s.cfg.WALDir, wcfg, func(_ uint64, ops []wal.Op) {
+		for j := range ops {
+			o := &ops[j]
+			if o.Op == wal.OpPut {
+				idx.Insert(replayCtx, o.Key, o.Val)
+			} else {
+				idx.Delete(replayCtx, o.Key)
+			}
+		}
+	})
+	if err != nil {
+		ckptCtx.Close()
+		return err
+	}
+	s.wal = l
+	s.ckptCtx = ckptCtx
 	return nil
 }
 
-// closeWALs seals every open shard log (fsync + close) and releases
-// the checkpoint contexts. Called once no connection can write.
-func (s *Server) closeWALs() {
-	for _, sh := range s.shards {
-		if sh.wal != nil {
-			if err := sh.wal.Close(); err != nil && s.cfg.WALLogf != nil {
-				s.cfg.WALLogf("wal: close: %v", err)
-			}
-			sh.wal = nil
+// closeWAL seals the log (fsync + close) and releases the checkpoint
+// context. Called once no connection can write.
+func (s *Server) closeWAL() {
+	if s.wal != nil {
+		if err := s.wal.Close(); err != nil && s.cfg.WALLogf != nil {
+			s.cfg.WALLogf("wal: close: %v", err)
 		}
-		if sh.ckptCtx != nil {
-			sh.ckptCtx.Close()
-			sh.ckptCtx = nil
-		}
+		s.wal = nil
+	}
+	if s.ckptCtx != nil {
+		s.ckptCtx.Close()
+		s.ckptCtx = nil
 	}
 }
 
-// checkWALMeta validates the WAL root against this server's layout,
-// writing the descriptor on first use.
-func (s *Server) checkWALMeta() error {
-	if err := os.MkdirAll(s.cfg.WALDir, 0o777); err != nil {
+// checkWALLayout validates the WAL root, writing the layout marker on
+// first use. A root in the old sharded layout (a v1 marker, or a
+// shard-NNN directory of per-shard logs) is refused untouched:
+// replaying it as one log, or starting empty beside it, would lose
+// acknowledged writes.
+func (s *Server) checkWALLayout() error {
+	dir := s.cfg.WALDir
+	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return fmt.Errorf("wal dir: %w", err)
 	}
-	path := filepath.Join(s.cfg.WALDir, walMetaName)
-	if data, err := os.ReadFile(path); err == nil {
-		var shards int
-		if n, serr := fmt.Sscanf(string(data), "optiql-wal v1\nshards=%d\n", &shards); n != 1 || serr != nil {
-			return fmt.Errorf("wal dir %s: unreadable %s file", s.cfg.WALDir, walMetaName)
-		}
-		if shards != s.cfg.Shards {
-			return fmt.Errorf("wal dir %s was written with %d shards, server configured for %d: refusing to misroute replay", s.cfg.WALDir, shards, s.cfg.Shards)
-		}
+	path := filepath.Join(dir, walMetaName)
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("wal dir: %w", err)
+	}
+	// Glob's only error is a malformed pattern, and this one is fixed.
+	shardDirs, _ := filepath.Glob(filepath.Join(dir, "shard-[0-9][0-9][0-9]"))
+	switch {
+	case len(shardDirs) > 0 || strings.HasPrefix(string(data), "optiql-wal v1\n"):
+		return fmt.Errorf("wal dir %s holds the old sharded layout (META v1, one log per shard-NNN directory), which this server does not replay; refusing to start", dir)
+	case err == nil && string(data) != walLayout:
+		return fmt.Errorf("wal dir %s: unreadable %s file", dir, walMetaName)
+	case err == nil:
 		return nil
 	}
-	data := fmt.Sprintf("optiql-wal v1\nshards=%d\n", s.cfg.Shards)
-	if err := os.WriteFile(path, []byte(data), 0o666); err != nil {
+	if err := os.WriteFile(path, []byte(walLayout), 0o666); err != nil {
 		return fmt.Errorf("wal dir: %w", err)
 	}
 	return nil
 }
 
-// snapshotIndex streams a shard's pairs to emit in key chunks via the
+// snapshotIndex streams the index's pairs to emit in key chunks via the
 // zero-alloc Scan path (the chunk buffer is reused across the whole
 // snapshot; Scan appends into it without per-pair allocation).
 func snapshotIndex(idx Index, ctx *locks.Ctx, emit func(k, v uint64) error) error {
@@ -146,15 +150,14 @@ func snapshotIndex(idx Index, ctx *locks.Ctx, emit func(k, v uint64) error) erro
 }
 
 // loggedWrite is one write of the request being dispatched, held
-// until the connection appends its shard's share (commitLogged).
+// until the connection appends the request's record (commitLogged).
 type loggedWrite struct {
-	si   int
 	req  *wire.Request
 	slot *wire.Response
 }
 
-// ackBatch is the pooled wal.Committer for one request's writes to one
-// shard: the connection fills slots while it applies, then hands the
+// ackBatch is the pooled wal.Committer for one request's logged
+// writes: the connection fills slots while it applies, then hands the
 // batch to wal.Commit. Committed runs on the log's syncer goroutine
 // (or inline, policy-dependent) and is the point where the client
 // finally hears back.
@@ -193,37 +196,17 @@ func (a *ackBatch) Committed(err error) {
 	}
 }
 
-// commitLogged appends and applies the request's logged writes, one
-// record per shard, and reports false if an apply panicked. Each
-// shard's share keeps its request order.
+// commitLogged writes the request's logged writes through the log as
+// one record, in request order: append first (nothing may become
+// observable unlogged), then apply, then hand the acks to the commit
+// policy. walMu spans the append through NoteApplied, so the log's
+// order is the apply order; Commit, which fsyncs inline under the
+// always policy, runs after it. A panicking apply is answered
+// StatusErr while the rest still apply, so the index keeps every
+// logged write; it reports false.
 func (c *conn) commitLogged(ctx *locks.Ctx, p *pending) bool {
-	ws := c.logged
-	slices.SortStableFunc(ws, func(a, b loggedWrite) int { return cmp.Compare(a.si, b.si) })
-	ok := true
-	for len(ws) > 0 {
-		n := 1
-		for n < len(ws) && ws[n].si == ws[0].si {
-			n++
-		}
-		if !c.commitShard(ctx, p, c.srv.shards[ws[0].si], ws[:n]) {
-			ok = false
-		}
-		ws = ws[n:]
-	}
-	clear(c.logged)
-	c.logged = c.logged[:0]
-	return ok
-}
-
-// commitShard writes one shard's share of a request through its log:
-// append first (nothing may become observable unlogged), then apply,
-// then hand the acks to the commit policy. The shard mutex spans the
-// append through NoteApplied, so the log's order is the apply order;
-// Commit, which fsyncs inline under the always policy, runs after it.
-// A panicking apply is answered StatusErr while the rest still apply,
-// so the index keeps every logged write.
-func (c *conn) commitShard(ctx *locks.Ctx, p *pending, sh *shard, ws []loggedWrite) bool {
 	s := c.srv
+	ws := c.logged
 	ops := c.walOps[:0]
 	for _, w := range ws {
 		o := wal.Op{Op: wal.OpPut, Key: w.req.Key, Val: w.req.Value}
@@ -233,10 +216,10 @@ func (c *conn) commitShard(ctx *locks.Ctx, p *pending, sh *shard, ws []loggedWri
 		ops = append(ops, o)
 	}
 	c.walOps = ops
-	sh.mu.Lock()
-	seq, err := sh.wal.Append(ops)
+	s.walMu.Lock()
+	seq, err := s.wal.Append(ops)
 	if err != nil {
-		sh.mu.Unlock()
+		s.walMu.Unlock()
 		// Poisoned or closed log: fail the writes without touching the
 		// index. Applying an unlogged write would let a client read
 		// state that silently vanishes on restart.
@@ -251,12 +234,12 @@ func (c *conn) commitShard(ctx *locks.Ctx, p *pending, sh *shard, ws []loggedWri
 	}
 	ok := true
 	for _, w := range ws {
-		if !c.applyWrite(ctx, sh.idx, p, w.si, w.req, w.slot) {
+		if !c.applyWrite(ctx, p, w.req, w.slot) {
 			ok = false
 		}
 	}
-	sh.wal.NoteApplied(seq)
-	sh.mu.Unlock()
+	s.wal.NoteApplied(seq)
+	s.walMu.Unlock()
 	if !s.walDefersAcks {
 		// Off policy: the ack never waits on an fsync, so it lands at
 		// apply time, exactly like the no-WAL path.
@@ -270,30 +253,24 @@ func (c *conn) commitShard(ctx *locks.Ctx, p *pending, sh *shard, ws []loggedWri
 	for _, w := range ws {
 		ab.slots = append(ab.slots, w.slot)
 	}
-	sh.wal.Commit(seq, len(ws), ab)
+	s.wal.Commit(seq, len(ws), ab)
 	return ok
 }
 
 // WALEnabled reports whether this server runs with a write-ahead log.
 func (s *Server) WALEnabled() bool { return s.cfg.WALDir != "" }
 
-// WALRecovery returns the per-shard recovery stats of the startup
-// replay (nil without a WAL).
-func (s *Server) WALRecovery() []wal.RecoveryStats {
-	if !s.WALEnabled() {
-		return nil
+// WALRecovery returns the recovery stats of the startup replay (zero
+// without a WAL).
+func (s *Server) WALRecovery() wal.RecoveryStats {
+	if s.wal == nil {
+		return wal.RecoveryStats{}
 	}
-	out := make([]wal.RecoveryStats, len(s.shards))
-	for i, sh := range s.shards {
-		if sh.wal != nil {
-			out[i] = sh.wal.Recovery()
-		}
-	}
-	return out
+	return s.wal.Recovery()
 }
 
-// WALReport merges the shard logs into the durability report served at
-// /debug/wal and embedded in run reports. Nil without a WAL.
+// WALReport is the durability report served at /debug/wal and
+// embedded in run reports. Nil without a WAL.
 func (s *Server) WALReport() *obs.WALReport {
 	if !s.WALEnabled() {
 		return nil
@@ -306,40 +283,38 @@ func (s *Server) WALReport() *obs.WALReport {
 	if rep.Policy == "" {
 		rep.Policy = wal.SyncInterval
 	}
-	var fh hist.Histogram
-	for _, sh := range s.shards {
-		l := sh.wal
-		if l == nil {
-			continue
-		}
-		st := l.Stats()
-		rep.AppendedRecords += st.AppendedRecords
-		rep.AppendedOps += st.AppendedOps
-		rep.AppendedBytes += st.AppendedBytes
-		rep.Syncs += st.Syncs
-		rep.Rotations += st.Rotations
-		rep.Checkpoints += st.Checkpoints
-		rep.SegmentsReclaimed += st.SegmentsReclaimed
-		rep.LagSheds += st.LagSheds
-		rep.DurableSeq = append(rep.DurableSeq, st.DurableSeq)
-		rep.AppliedSeq = append(rep.AppliedSeq, st.AppliedSeq)
-		rep.PendingOps = append(rep.PendingOps, st.PendingOps)
-		rec := l.Recovery()
-		rep.ReplayedRecords += rec.RecordsReplayed
-		rep.ReplayedOps += rec.OpsReplayed
-		rep.TornTruncations += uint64(rec.TornRecords)
-		rep.CheckpointPairs += rec.CheckpointPairs
-		l.FsyncHist(&fh)
+	l := s.wal
+	if l == nil {
+		return rep
 	}
+	st := l.Stats()
+	rec := l.Recovery()
+	rep.AppendedRecords = st.AppendedRecords
+	rep.AppendedOps = st.AppendedOps
+	rep.AppendedBytes = st.AppendedBytes
+	rep.Syncs = st.Syncs
+	rep.Rotations = st.Rotations
+	rep.Checkpoints = st.Checkpoints
+	rep.SegmentsReclaimed = st.SegmentsReclaimed
+	rep.LagSheds = st.LagSheds
+	rep.DurableSeq = st.DurableSeq
+	rep.AppliedSeq = st.AppliedSeq
+	rep.PendingOps = st.PendingOps
+	rep.ReplayedRecords = rec.RecordsReplayed
+	rep.ReplayedOps = rec.OpsReplayed
+	rep.TornTruncations = uint64(rec.TornRecords)
+	rep.CheckpointPairs = rec.CheckpointPairs
+	var fh hist.Histogram
+	l.FsyncHist(&fh)
 	rep.FsyncLatency = obs.LatencyReportFrom(&fh)
 	return rep
 }
 
-// walGate pre-screens a write against its shard's log: poisoned logs
-// answer StatusErr (reads keep serving), a lagging fsync queue sheds
-// with StatusOverloaded. Reports whether the write was answered here.
-func (c *conn) walGate(sh *shard, p *pending, slot *wire.Response) bool {
-	l := sh.wal
+// walGate pre-screens a write against the log: a poisoned log answers
+// StatusErr (reads keep serving), a lagging fsync queue sheds with
+// StatusOverloaded. Reports whether the write was answered here.
+func (c *conn) walGate(p *pending, slot *wire.Response) bool {
+	l := c.srv.wal
 	if err := l.Err(); err != nil {
 		slot.Status = wire.StatusErr
 		slot.Err = "wal: " + err.Error()

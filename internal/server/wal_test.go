@@ -2,7 +2,10 @@ package server
 
 import (
 	"context"
+	"io/fs"
+	"maps"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +23,6 @@ import (
 func walConfig(dir, kind, policy string) Config {
 	return Config{
 		Index:              kind,
-		Shards:             2,
 		WALDir:             dir,
 		Fsync:              policy,
 		FsyncInterval:      time.Millisecond,
@@ -67,10 +69,8 @@ func TestWALDurableRestart(t *testing.T) {
 				}
 
 				srv2, addr2 := startServer(t, walConfig(dir, kind, policy))
-				for _, rec := range srv2.WALRecovery() {
-					if rec.TornRecords != 0 || rec.TornBytes != 0 {
-						t.Fatalf("graceful shutdown left a torn tail: %+v", rec)
-					}
+				if rec := srv2.WALRecovery(); rec.TornRecords != 0 || rec.TornBytes != 0 {
+					t.Fatalf("graceful shutdown left a torn tail: %+v", rec)
 				}
 				cl2, err := wire.Dial(addr2)
 				if err != nil {
@@ -143,13 +143,7 @@ func TestWALCheckpointUnderLoad(t *testing.T) {
 	}
 
 	srv2, addr2 := startServer(t, cfg)
-	var replayBounded bool
-	for _, rec := range srv2.WALRecovery() {
-		if rec.CheckpointSeq > 0 {
-			replayBounded = true
-		}
-	}
-	if !replayBounded {
+	if srv2.WALRecovery().CheckpointSeq == 0 {
 		t.Fatal("restart found no checkpoint to bound replay")
 	}
 	cl2, err := wire.Dial(addr2)
@@ -168,7 +162,7 @@ func TestWALCheckpointUnderLoad(t *testing.T) {
 
 // TestWALRecoveryKeepsDensity checks that recovery rebuilds trees as
 // dense as a preload leaves them: a checkpoint is applied in key
-// order, so each shard sees one ascending run and its leaves come back
+// order, so the tree sees one ascending run and its leaves come back
 // packed, not half empty.
 func TestWALRecoveryKeepsDensity(t *testing.T) {
 	dir := t.TempDir()
@@ -196,23 +190,16 @@ func TestWALRecoveryKeepsDensity(t *testing.T) {
 		}
 	}
 	cl.Close()
-	shapes := func(s *Server) (keys int, minFill float64) {
-		minFill = 1
-		for _, sh := range s.shards {
-			tr := sh.idx.(btreeIndex).t
-			shape := tr.Shape()
-			keys += shape.Keys
-			minFill = min(minFill, float64(shape.Keys)/float64(shape.Leaves*tr.Fanout()))
-		}
-		return keys, minFill
+	shape := func(s *Server) (keys int, fill float64) {
+		tr := s.idx.(btreeIndex).t
+		sh := tr.Shape()
+		return sh.Keys, float64(sh.Keys) / float64(sh.Leaves*tr.Fanout())
 	}
-	if keys, fill := shapes(srv); keys != n || fill < 0.95 {
+	if keys, fill := shape(srv); keys != n || fill < 0.95 {
 		t.Fatalf("loaded %d keys at leaf fill %.3f, want %d at >= 0.95", keys, fill, n)
 	}
-	for _, sh := range srv.shards {
-		if err := sh.wal.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
+	if err := srv.wal.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -221,14 +208,10 @@ func TestWALRecoveryKeepsDensity(t *testing.T) {
 	}
 
 	srv2, _ := startServer(t, cfg)
-	var fromCheckpoint uint64
-	for _, rec := range srv2.WALRecovery() {
-		fromCheckpoint += rec.CheckpointPairs
-	}
-	if fromCheckpoint != n {
+	if fromCheckpoint := srv2.WALRecovery().CheckpointPairs; fromCheckpoint != n {
 		t.Fatalf("recovery applied %d checkpoint pairs, want %d", fromCheckpoint, n)
 	}
-	if keys, fill := shapes(srv2); keys != n || srv2.Len() != n || fill < 0.95 {
+	if keys, fill := shape(srv2); keys != n || srv2.Len() != n || fill < 0.95 {
 		t.Fatalf("recovered %d keys (Len %d) at leaf fill %.3f, want %d at >= 0.95", keys, srv2.Len(), fill, n)
 	}
 }
@@ -274,19 +257,13 @@ func TestWALLagShedsOverloaded(t *testing.T) {
 	if err := clA.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until every shard's fsync debt has reached the budget
+	// Wait until the fsync debt has reached the budget
 	// (wal.Log.Lagging's own comparison: the burst's tail is shed from
 	// there on, so the debt may stop exactly at it).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		rep := srv.WALReport()
-		over := len(rep.PendingOps) > 0
-		for _, p := range rep.PendingOps {
-			if p < int64(cfg.WALSyncQueueMax) {
-				over = false
-			}
-		}
-		if over {
+		if rep.PendingOps >= int64(cfg.WALSyncQueueMax) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -314,13 +291,12 @@ func TestWALLagShedsOverloaded(t *testing.T) {
 	}
 	// Open the gate: every burst write that was queued commits and acks
 	// OK. The reader screens each frame against the debt the connection
-	// has built from the frames before it, and with the gate shut a
-	// shard's debt only grows, so per shard the burst is answered OK for
-	// a prefix of at least WALSyncQueueMax writes and Overloaded for the
-	// rest, never OK again after a shed.
+	// has built from the frames before it, and with the gate shut the
+	// debt only grows, so the burst is answered OK for a prefix of at
+	// least WALSyncQueueMax writes and Overloaded for the rest, never OK
+	// again after a shed.
 	open()
-	admitted := make([]int, len(srv.shards))
-	shedFrom := make([]int, len(srv.shards))
+	admitted, shedFrom := 0, 0
 	var burstShed [burst]bool
 	sheds := uint64(8) // clB's
 	for i := 0; i < burst; i++ {
@@ -328,17 +304,18 @@ func TestWALLagShedsOverloaded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("queued write %d after gate opened: %v", i, err)
 		}
-		si := srv.shardIdx(uint64(i))
 		switch {
-		case r.Status == wire.StatusOK && shedFrom[si] == 0:
-			admitted[si]++
-		case r.Status == wire.StatusOverloaded && admitted[si] >= cfg.WALSyncQueueMax:
-			shedFrom[si] = i + 1
+		case r.Status == wire.StatusOK && shedFrom == 0:
+			admitted++
+		case r.Status == wire.StatusOverloaded && admitted >= cfg.WALSyncQueueMax:
+			if shedFrom == 0 {
+				shedFrom = i + 1
+			}
 			burstShed[i] = true
 			sheds++
 		default:
-			t.Fatalf("queued write %d (shard %d: %d admitted, shedding since write %d) = %+v, want OK then Overloaded",
-				i, si, admitted[si], shedFrom[si]-1, r)
+			t.Fatalf("queued write %d (%d admitted, shedding since write %d) = %+v, want OK then Overloaded",
+				i, admitted, shedFrom-1, r)
 		}
 	}
 	if rep := srv.WALReport(); rep.LagSheds != sheds {
@@ -417,29 +394,87 @@ func TestWALFsyncFailurePoisons(t *testing.T) {
 			t.Fatalf("read %d on poisoned log = %+v %v", k, r, err)
 		}
 	}
-	if err := srv.shards[0].wal.Err(); err == nil && srv.shards[1].wal.Err() == nil {
-		t.Fatal("no shard log reports the sticky error")
+	if srv.wal.Err() == nil {
+		t.Fatal("the log does not report the sticky error")
 	}
 }
 
-// TestWALShardMismatchRefused: reopening a WAL dir with a different
-// shard count must fail loudly, not misroute replay.
-func TestWALShardMismatchRefused(t *testing.T) {
-	dir := t.TempDir()
-	cfg := walConfig(dir, "btree", wal.SyncOff)
-	srv, _ := startServer(t, cfg)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+// TestWALRefusesShardedLayout: a WAL root in the old sharded layout (a
+// v1 META beside shard-NNN directories of per-shard logs) is refused at
+// New with an error naming that layout, and nothing in it is modified:
+// replaying it as one log, or starting empty beside it, would lose
+// acknowledged writes. A META this server cannot read is refused the
+// same way.
+func TestWALRefusesShardedLayout(t *testing.T) {
+	// shardLog writes one real record into dir/shard-000, as a sharded
+	// server did.
+	shardLog := func(t *testing.T, dir string) {
+		l, _, err := wal.Open(filepath.Join(dir, "shard-000"), wal.Config{Policy: wal.SyncOff}, func(uint64, []wal.Op) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := l.Append([]wal.Op{{Op: wal.OpPut, Key: 1, Val: 7}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.NoteApplied(seq)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name, meta string
+		shardDir   bool
+		want       string
+	}{
+		{"v1", "optiql-wal v1\nshards=2\n", true, "old sharded layout"},
+		{"shard-dir-without-meta", "", true, "old sharded layout"},
+		{"unreadable-meta", "optiql-wal v9\n", false, "unreadable META"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.shardDir {
+				shardLog(t, dir)
+			}
+			if tc.meta != "" {
+				if err := os.WriteFile(filepath.Join(dir, walMetaName), []byte(tc.meta), 0o666); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := readTree(t, dir)
+			cfg := walConfig(dir, "btree", wal.SyncOff)
+			cfg.Scheme = testScheme()
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New on a %s root = %v, want an error naming %q", tc.name, err, tc.want)
+			}
+			if after := readTree(t, dir); !maps.Equal(before, after) {
+				t.Fatalf("the refused root changed:\nbefore %q\nafter  %q", before, after)
+			}
+		})
+	}
+}
+
+// readTree maps every path under dir to its content ("/" for a
+// directory).
+func readTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	tree := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		if d.IsDir() {
+			tree[path] = "/"
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		tree[path] = string(b)
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	bad := cfg
-	bad.Shards = 3
-	bad.Scheme = testScheme()
-	bad.Addr = "127.0.0.1:0"
-	if _, err := New(bad); err == nil || !strings.Contains(err.Error(), "refusing to misroute") {
-		t.Fatalf("New with mismatched shard count = %v, want misroute refusal", err)
-	}
+	return tree
 }
 
 // TestWALReadYourWrites: a GET after a logged PUT on the same
@@ -474,15 +509,13 @@ func TestWALReadYourWrites(t *testing.T) {
 }
 
 // TestWALWritePanicKeepsLoggedWrites: with a WAL, a request's writes
-// to a shard are in the log before any of them applies, so a panic in
+// are in the log before any of them applies, so a panic in
 // one apply must not skip the others — the index keeps every logged
 // write. The panicking write is answered StatusErr, its neighbours
 // OK, and the connection closes.
 func TestWALWritePanicKeepsLoggedWrites(t *testing.T) {
 	const boom = uint64(0xDEAD)
-	cfg := walConfig(t.TempDir(), "btree", wal.SyncInterval)
-	cfg.Shards = 1
-	srv, addr := startServer(t, cfg)
+	srv, addr := startServer(t, walConfig(t.TempDir(), "btree", wal.SyncInterval))
 	srv.panicKey.Store(boom)
 	cl, err := wire.Dial(addr)
 	if err != nil {
@@ -516,10 +549,9 @@ func TestWALWritePanicKeepsLoggedWrites(t *testing.T) {
 	}
 }
 
-// TestWALBatchOneRecordPerShard: a request's writes to a shard are one
-// log record, so a BATCH of 1024 PUTs over two shards appends exactly
-// two records, however its keys interleave.
-func TestWALBatchOneRecordPerShard(t *testing.T) {
+// TestWALBatchOneRecord: a request's writes are one log record, so a
+// BATCH of 1024 PUTs appends exactly one.
+func TestWALBatchOneRecord(t *testing.T) {
 	srv, addr := startServer(t, walConfig(t.TempDir(), "btree", wal.SyncInterval))
 	cl, err := wire.Dial(addr)
 	if err != nil {
@@ -541,8 +573,8 @@ func TestWALBatchOneRecordPerShard(t *testing.T) {
 		}
 	}
 	rep := srv.WALReport()
-	if got := rep.AppendedRecords - before; got != 2 {
-		t.Fatalf("one 1024-PUT batch over 2 shards appended %d records, want 2", got)
+	if got := rep.AppendedRecords - before; got != 1 {
+		t.Fatalf("one 1024-PUT batch appended %d records, want 1", got)
 	}
 	if rep.AppendedOps != 1024 {
 		t.Fatalf("appended ops = %d, want 1024", rep.AppendedOps)

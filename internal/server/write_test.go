@@ -27,16 +27,15 @@ import (
 //     connection while a second connection writes interleaved keys and
 //     readers hammer the hot keys; responses must still match the
 //     serial oracle exactly.
-//   - TestWritePathAllocs pins one PUT through dispatch at zero
-//     allocations, without a WAL and with one.
+//   - TestWritePathAllocs pins one PUT and one GET through dispatch at
+//     zero allocations, without a WAL and with one.
 
-// newShardServer builds a single-shard server that never listens: the
-// tests drive conn.dispatch directly. One shard makes routing
-// deterministic. policy selects a WAL with that fsync policy ("" for
-// none).
-func newShardServer(t testing.TB, index, scheme, policy string) *Server {
+// newTestServer builds a server that never listens: the tests drive
+// conn.dispatch directly. policy selects a WAL with that fsync policy
+// ("" for none).
+func newTestServer(t testing.TB, index, scheme, policy string) *Server {
 	t.Helper()
-	cfg := Config{Index: index, Scheme: scheme, Shards: 1}
+	cfg := Config{Index: index, Scheme: scheme}
 	if policy != "" {
 		cfg.WALDir = t.TempDir()
 		cfg.Fsync = policy
@@ -119,13 +118,13 @@ func checkResp(oracle *indextest.SchedOracle, op indextest.SchedOp, got wire.Res
 	return nil
 }
 
-// checkFinalState asserts that the shard's full scan, restricted to
+// checkFinalState asserts that the index's full scan, restricted to
 // the program's keys (keyOf's image, inverted by progKey), is exactly
 // the oracle's contents.
 func checkFinalState(t *testing.T, s *Server, c *locks.Ctx, oracle *indextest.SchedOracle, progKey func(uint64) (uint64, bool)) {
 	t.Helper()
 	n := 0
-	for i, kv := range s.shards[0].idx.Scan(c, 0, 1<<20, nil) {
+	for i, kv := range s.idx.Scan(c, 0, 1<<20, nil) {
 		k, ok := progKey(kv.Key)
 		if !ok {
 			continue
@@ -165,7 +164,7 @@ func TestDeterministicSchedule(t *testing.T) {
 
 func replaySched(t *testing.T, index, scheme, policy string, prog *indextest.SchedProgram) {
 	t.Helper()
-	s := newShardServer(t, index, scheme, policy)
+	s := newTestServer(t, index, scheme, policy)
 	conns := make(map[int]*conn)
 	ctxs := make(map[int]*locks.Ctx)
 	oracle := indextest.NewSchedOracle()
@@ -198,7 +197,7 @@ func replaySched(t *testing.T, index, scheme, policy string, prog *indextest.Sch
 		// writes.
 		rc := ctxs[batch[0].Conn]
 		if msg := oracle.ReadYourWrites(func(k uint64) (uint64, bool) {
-			return s.shards[0].idx.Lookup(rc, k)
+			return s.idx.Lookup(rc, k)
 		}); msg != "" {
 			t.Fatalf("wal=%q after batch %d: %s", policy, bi, msg)
 		}
@@ -238,7 +237,7 @@ func TestExecutorApplyVsOracle(t *testing.T) {
 
 func propertyRun(t *testing.T, index, scheme string, seed int) {
 	t.Helper()
-	cfg := Config{Index: index, Scheme: scheme, Shards: 1}
+	cfg := Config{Index: index, Scheme: scheme}
 	if seed%2 == 1 {
 		cfg.WALDir = t.TempDir()
 		cfg.Fsync = wal.SyncInterval
@@ -296,7 +295,7 @@ func propertyRun(t *testing.T, index, scheme string, seed int) {
 				default:
 				}
 				for _, k := range prog.HotKeys {
-					s.shards[0].idx.Lookup(c, even(k))
+					s.idx.Lookup(c, even(k))
 				}
 			}
 		}()
@@ -338,29 +337,32 @@ func propertyRun(t *testing.T, index, scheme string, seed int) {
 	checkFinalState(t, s, c, oracle, func(k uint64) (uint64, bool) { return k / 2, k%2 == 0 })
 }
 
-// TestWritePathAllocs pins one PUT through the connection write path
-// at zero allocations, without a WAL and with one under the off policy
-// (whose ack lands at apply time, so the run is synchronous; a
-// deferring policy's pooled ack batch comes back from the syncer
-// goroutine, which a tight single-threaded loop outruns). Overwrite
-// PUTs over a populated keyspace keep the tree structurally quiescent,
-// and the pending never completes, so it is reused across runs.
+// TestWritePathAllocs pins one PUT through the connection write path,
+// and one GET through the read path, at zero allocations, without a
+// WAL and with one under the off policy (whose ack lands at apply
+// time, so the run is synchronous; a deferring policy's pooled ack
+// batch comes back from the syncer goroutine, which a tight
+// single-threaded loop outruns). Overwrite PUTs over a populated
+// keyspace keep the tree structurally quiescent, and the pendings
+// never complete, so they are reused across runs.
 func TestWritePathAllocs(t *testing.T) {
 	for _, policy := range []string{"", wal.SyncOff} {
 		t.Run(fmt.Sprintf("wal=%q", policy), func(t *testing.T) {
-			s := newShardServer(t, "btree", testScheme(), policy)
+			s := newTestServer(t, "btree", testScheme(), policy)
 			c, ctx := newTestConn(t, s)
 			for k := uint64(1); k <= 1024; k++ {
 				p := newPending(wire.Put(k, k))
 				c.dispatch(ctx, p)
 			}
-			p := newPending(wire.Put(512, 7))
-			p.remaining.Store(1 << 30) // never reaches zero: ready is never closed
-			allocs := testing.AllocsPerRun(500, func() {
-				c.dispatch(ctx, p)
-			})
-			if allocs != 0 {
-				t.Fatalf("a PUT through dispatch allocates %.1f times, want 0", allocs)
+			for _, req := range []wire.Request{wire.Put(512, 7), wire.Get(512)} {
+				p := newPending(req)
+				p.remaining.Store(1 << 30) // never reaches zero: ready is never closed
+				allocs := testing.AllocsPerRun(500, func() {
+					c.dispatch(ctx, p)
+				})
+				if allocs != 0 {
+					t.Fatalf("op %d through dispatch allocates %.1f times, want 0", req.Op, allocs)
+				}
 			}
 		})
 	}

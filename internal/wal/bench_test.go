@@ -14,7 +14,7 @@ type slotAck chan struct{}
 func (s slotAck) Committed(error) { <-s }
 
 // BenchmarkGroupCommit measures the pacing rule without a daemon: one
-// appender (the shard executor's role) keeps K single-op batches in
+// appender (a writing connection's role) keeps K single-op batches in
 // flight against an fsync of fixed latency and never gets further ahead
 // than K acks. K=1 is latency-bound traffic and pays one fsync per op;
 // at K=32 and K=2048 the commits that arrive during an fsync share the

@@ -27,7 +27,7 @@ import (
 
 const ckptFixed = 8 + 8 + 8 + 4 // magic + seq + count + crc
 
-// checkpoint snapshots the shard at the applied watermark, installs
+// checkpoint snapshots the index at the applied watermark, installs
 // the snapshot, then reclaims fully covered segments and superseded
 // snapshots. The snapshot is fuzzy in ARIES style: the scan runs
 // concurrently with appends, but every record at or below the captured

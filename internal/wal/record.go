@@ -1,10 +1,9 @@
-// Package wal implements the per-shard append-only write-ahead log
-// behind optiqld's durability: a connection appends one
-// CRC32C-checksummed record per request per shard, clients are
-// acknowledged only once the configured fsync policy admits the
-// record, and startup replays the log (from the latest checkpoint
-// snapshot) back into the index, truncating a torn tail and refusing
-// corrupt mid-log records.
+// Package wal implements the append-only write-ahead log behind
+// optiqld's durability: a connection appends one CRC32C-checksummed
+// record per request, clients are acknowledged only once the
+// configured fsync policy admits the record, and startup replays the
+// log (from the latest checkpoint snapshot) back into the index,
+// truncating a torn tail and refusing corrupt mid-log records.
 //
 // On-disk layout, all integers big-endian:
 //
@@ -65,7 +64,7 @@ const (
 
 	// maxOpsPerRecord bounds a single record; Append splits larger
 	// batches. 4096 is 4x the wire-protocol MaxBatch, so in practice a
-	// record is exactly one request's writes to one shard.
+	// record is exactly one request's writes.
 	maxOpsPerRecord = 4096
 	maxRecSize      = recFixed + maxOpsPerRecord*opPutSize
 )

@@ -94,8 +94,8 @@ func appendOne(t *testing.T, l *Log) *seqAck {
 	return &seqAck{ack: newAck(), l: l, seq: seq}
 }
 
-// commitOne appends one small batch and registers its ack, as the shard
-// executor does.
+// commitOne appends one small batch and registers its ack, as a
+// writing connection does.
 func commitOne(t *testing.T, l *Log) *seqAck {
 	t.Helper()
 	a := appendOne(t, l)

@@ -16,7 +16,7 @@ import (
 	"optiql/internal/obs"
 )
 
-// Config tunes one shard log. The zero value is normalized to the
+// Config tunes one log. The zero value is normalized to the
 // interval policy with production-shaped defaults.
 type Config struct {
 	// Policy is the ack rule: SyncAlways fsyncs before every batch ack,
@@ -42,7 +42,7 @@ type Config struct {
 	// writes with StatusOverloaded instead of queueing unbounded fsync
 	// debt. Zero disables shedding.
 	SyncQueueMax int
-	// Snapshot streams the shard's live key/value pairs for a
+	// Snapshot streams the index's live key/value pairs for a
 	// checkpoint, in any order; nil disables checkpointing.
 	Snapshot func(emit func(key, val uint64) error) error
 	// SyncFile overrides fsync, for fault injection; nil means
@@ -99,9 +99,9 @@ type ticket struct {
 // ErrClosed is returned by appends and commits after Close.
 var ErrClosed = errors.New("wal: log closed")
 
-// Log is one shard's write-ahead log. Append and NoteApplied are
-// single-caller at a time (the server serializes them under the
-// shard's mutex), and Commit follows its own Append; Lagging, Err and
+// Log is one write-ahead log. Append and NoteApplied are
+// single-caller at a time (the server serializes them under its WAL
+// mutex), and Commit follows its own Append; Lagging, Err and
 // Stats may be called from any goroutine; Close must not race
 // Append/Commit.
 type Log struct {
@@ -268,7 +268,7 @@ func (l *Log) openSegment(firstSeq uint64) error {
 // writes it to the active segment and returns the sequence of the last
 // record written. The data is buffered, not yet durable: pair with
 // Commit. Callers serialize Append with their applies and NoteApplied
-// (the server holds the shard mutex across all three).
+// (the server holds its WAL mutex across all three).
 func (l *Log) Append(ops []Op) (uint64, error) {
 	if len(ops) == 0 {
 		return l.appended.Load(), nil
@@ -422,7 +422,7 @@ func (l *Log) Commit(seq uint64, n int, c Committer) {
 // NoteApplied records that the batch at seq has been applied to the
 // in-memory index. Checkpoints snapshot at this watermark; the caller
 // must apply strictly in sequence order (the server applies under the
-// shard mutex it appended under).
+// WAL mutex it appended under).
 func (l *Log) NoteApplied(seq uint64) {
 	if seq > l.applied.Load() {
 		l.applied.Store(seq)

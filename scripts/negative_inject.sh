@@ -80,9 +80,9 @@ copy_module "$scratch/wal"
 # Apply a write to the index before its record is in the log: a crash
 # between the two loses acknowledged writes.
 plant "$scratch/wal/internal/server/wal.go" \
-	'	seq, err := sh.wal.Append(ops)' \
-	'	c.applyWrite(ctx, sh.idx, p, ws[0].si, ws[0].req, ws[0].slot)
-	seq, err := sh.wal.Append(ops)'
+	'	seq, err := s.wal.Append(ops)' \
+	'	c.applyWrite(ctx, p, ws[0].req, ws[0].slot)
+	seq, err := s.wal.Append(ops)'
 expect_catch "$scratch/wal" ./internal/server/ walorder
 echo "   caught"
 
