@@ -136,15 +136,14 @@ func main() {
 		}
 	case got := <-sig:
 		fmt.Printf("optiqld: %v, draining...\n", got)
-		// Snapshot durability stats before Shutdown seals and releases
-		// the log; afterwards the report reads all zeros.
-		walRep = srv.WALReport()
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		err := srv.Shutdown(ctx)
 		cancel()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "optiqld: shutdown timed out:", err)
 		}
+		// The sealed log still reports, its final fsync included.
+		walRep = srv.WALReport()
 	}
 	if *trc != "" {
 		if tr := srv.Tracer(); tr != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,13 +19,18 @@ import (
 
 // pending is one admitted request travelling from the reader to the
 // writer. The writer sends responses strictly in admission order,
-// waiting on ready; ready closes when every constituent operation
-// (one, or each sub-operation of a batch) has filled its slot.
+// waiting until remaining reaches 0: every constituent operation (one,
+// or each sub-operation of a batch) has filled its slot. Pendings are
+// recycled through their connection's free list, so a served request
+// allocates nothing.
 type pending struct {
 	req       wire.Request
 	resp      wire.Response
 	remaining atomic.Int32
-	ready     chan struct{}
+	// wake is the connection's wake channel, set when the pending is
+	// made and never written after that: the operation that takes
+	// remaining to 0 leaves a token in it for the writer (opDone).
+	wake chan struct{}
 	// span is the request's trace-tree ID: connection ID and request
 	// sequence packed by the reader when its sampler fired, 0 when the
 	// request is unsampled (or tracing is off). Every phase span of
@@ -34,43 +40,88 @@ type pending struct {
 	// scanBufs holds the pooled buffers whose storage the response's
 	// Pairs alias; the writer returns them once the frame is encoded.
 	// Appended only by the reader goroutine before opDone, read by the
-	// writer after ready closes.
+	// writer after remaining reaches 0.
 	scanBufs []*scanBuf
+	// slots is a BATCH's borrowed sub-request and sub-response storage
+	// (nil for any other request); req.Sub and resp.Sub alias it.
+	slots *batchSlots
 }
 
-// release returns the pooled scan buffers backing this response. The
-// response's Pairs must not be read afterwards — their storage is back
-// in the pool — so they are cleared here.
-func (p *pending) release() {
-	if p.scanBufs == nil {
-		return
-	}
-	p.resp.Pairs = nil
-	for i := range p.resp.Sub {
-		p.resp.Sub[i].Pairs = nil
-	}
-	for _, sb := range p.scanBufs {
-		putScanBuf(sb)
-	}
-	p.scanBufs = nil
+// batchSlots is the sub-request and sub-response storage of one
+// BATCH, borrowed from batchSlotsPool for exactly one request: the
+// reader takes it before it parses the BATCH and the writer returns it
+// once the response is encoded, so a connection retains no batch
+// storage between requests.
+type batchSlots struct {
+	req  [wire.MaxBatch]wire.Request
+	resp [wire.MaxBatch]wire.Response
 }
 
-func newPending(req wire.Request) *pending {
-	p := &pending{req: req, ready: make(chan struct{})}
+var batchSlotsPool = sync.Pool{New: func() any { return new(batchSlots) }}
+
+// parse decodes one request payload into p, a BATCH into borrowed
+// slots, and arms its completion count: one per constituent operation.
+//
+//optiql:noalloc
+func (p *pending) parse(payload []byte) error {
+	var subs []wire.Request
+	if len(payload) > 0 && payload[0] == wire.OpBatch {
+		p.slots = batchSlotsPool.Get().(*batchSlots)
+		subs = p.slots.req[:]
+	}
+	req, err := wire.ParseRequestInto(payload, subs)
+	if err != nil {
+		p.reset()
+		return err
+	}
+	p.req = req
 	n := 1
 	if req.Op == wire.OpBatch {
 		n = len(req.Sub)
 		p.resp.Status = wire.StatusOK
-		p.resp.Sub = make([]wire.Response, n)
+		p.resp.Sub = p.slots.resp[:n:n]
 	}
 	p.remaining.Store(int32(n))
-	return p
+	return nil
 }
 
-// opDone marks one constituent operation complete.
+// reset returns p's pooled scan buffers and batch slots and clears the
+// request, its response and its span. It never touches wake, and
+// remaining is already 0. The response's Pairs and Sub must not be
+// read afterwards: their storage is back in the pools.
+//
+//optiql:noalloc
+func (p *pending) reset() {
+	for _, sb := range p.scanBufs {
+		putScanBuf(sb)
+	}
+	clear(p.scanBufs)
+	p.scanBufs = p.scanBufs[:0]
+	if p.slots != nil {
+		// A later BATCH must not read this one's statuses, values or
+		// pairs, and the pool must not pin its error strings.
+		clear(p.slots.resp[:len(p.resp.Sub)])
+		batchSlotsPool.Put(p.slots)
+		p.slots = nil
+	}
+	p.req = wire.Request{}
+	p.resp = wire.Response{}
+	p.span = 0
+}
+
+// opDone marks one constituent operation complete. wake is loaded
+// before the decrement: once remaining reaches 0 the writer may
+// already have recycled p. The send never blocks; a token already in
+// the one-slot buffer wakes the writer just as well.
+//
+//optiql:noalloc
 func (p *pending) opDone() {
+	wake := p.wake
 	if p.remaining.Add(-1) == 0 {
-		close(p.ready)
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -81,6 +132,10 @@ type conn struct {
 	srv   *Server
 	nc    net.Conn
 	respQ chan *pending
+	// wake carries completion tokens to the writer (opDone, await);
+	// free holds up to respQDepth recycled pendings (take, recycle).
+	wake chan struct{}
+	free chan *pending
 	// logged collects the current request's writes until dispatch
 	// appends and applies them as one record; walOps is the record
 	// scratch. Reader goroutine only.
@@ -100,10 +155,64 @@ type conn struct {
 
 // respQDepth bounds admitted-but-unanswered requests per connection;
 // a full queue blocks the reader, pushing backpressure to the client.
+// It also bounds the connection's free list of pendings.
 const respQDepth = 512
+
+// take returns a recycled pending from the free list, or a new one
+// while the list warms up.
+//
+//optiql:noalloc
+func (c *conn) take() *pending {
+	select {
+	case p := <-c.free:
+		return p
+	default:
+		return c.newPending()
+	}
+}
+
+// newPending makes a pending bound to c's wake channel. It stays out
+// of take's noalloc body: it runs only while the free list warms up.
+func (c *conn) newPending() *pending { return &pending{wake: c.wake} }
+
+// recycle resets an answered (or abandoned) pending and puts it on the
+// free list; a full list leaves it to the GC.
+//
+//optiql:noalloc
+func (c *conn) recycle(p *pending) {
+	p.reset()
+	select {
+	case c.free <- p:
+	default:
+	}
+}
+
+// await blocks until every operation of p has completed. No wake-up
+// is lost: the operation that takes remaining to 0 either leaves a
+// token or finds one already waiting, and the re-check after the
+// receive then sees 0. A stale token costs one extra check.
+//
+//optiql:noalloc
+func (c *conn) await(p *pending) {
+	for p.remaining.Load() != 0 {
+		<-c.wake
+	}
+}
 
 // respRetain caps the encode buffer a writer keeps across responses.
 const respRetain = 64 << 10
+
+// newConn builds the connection state for nc, starting no goroutine.
+func (s *Server) newConn(nc net.Conn) *conn {
+	return &conn{
+		srv:   s,
+		nc:    nc,
+		respQ: make(chan *pending, respQDepth),
+		wake:  make(chan struct{}, 1),
+		free:  make(chan *pending, respQDepth),
+		id:    s.connSeq.Add(1),
+	}
+}
 
 func (s *Server) serveConn(nc net.Conn) {
 	// Pipelined small frames suffer under Nagle, and dead peers on idle
@@ -111,12 +220,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	// explicitly rather than trusting OS defaults (TuneTCP reaches the
 	// *net.TCPConn through any chaos wrapper).
 	wire.TuneTCP(nc)
-	c := &conn{
-		srv:   s,
-		nc:    nc,
-		respQ: make(chan *pending, respQDepth),
-		id:    s.connSeq.Add(1),
-	}
+	c := s.newConn(nc)
 	c.tb = s.getConnBuf(int(c.id))
 	s.mu.Lock()
 	s.conns[c] = struct{}{}
@@ -177,18 +281,18 @@ func (c *conn) readLoop() {
 			c.fail(err)
 			return
 		}
-		req, err := wire.ParseRequest(payload)
+		p := c.take()
+		err = p.parse(payload)
 		fb.Release() // requests never alias the payload
 		if err != nil {
 			c.fail(err)
 			return
 		}
-		p := newPending(req)
 		c.reqSeq++
 		if sampled {
 			// Nonzero by construction: connection IDs start at 1.
 			p.span = c.id<<24 | c.reqSeq&0xFFFFFF
-			c.tb.Record(trace.KindReqDecode, 0, t0, c.tb.Now()-t0, p.span, uint64(req.Op))
+			c.tb.Record(trace.KindReqDecode, 0, t0, c.tb.Now()-t0, p.span, uint64(p.req.Op))
 		}
 		c.respQ <- p // admission: response order fixed here
 		if !c.dispatch(ctx, p) {
@@ -221,8 +325,8 @@ func (c *conn) fail(err error) {
 		return
 	}
 	c.srv.stats.errors.Add(1)
-	p := &pending{resp: wire.Response{Status: wire.StatusErr, Err: err.Error()}, ready: make(chan struct{})}
-	close(p.ready)
+	p := c.take()
+	p.resp = wire.Response{Status: wire.StatusErr, Err: err.Error()}
 	c.respQ <- p
 }
 
@@ -237,14 +341,17 @@ func (c *conn) dispatch(ctx *locks.Ctx, p *pending) bool {
 	ok := true
 	if p.req.Op == wire.OpBatch {
 		c.srv.stats.batches.Add(1)
-		for i := range p.req.Sub {
-			if !c.dispatchOne(ctx, p, &p.req.Sub[i], &p.resp.Sub[i]) {
+		// Loop over local copies: after the last sub-operation's opDone
+		// the writer may recycle p.
+		subs, slots := p.req.Sub, p.resp.Sub
+		for i := range subs {
+			if !c.dispatchOne(ctx, p, &subs[i], &slots[i]) {
 				// A sub-operation panicked: complete the rest with
 				// StatusErr so the batch response (and Shutdown) never
 				// waits on slots nothing will fill.
-				for j := i + 1; j < len(p.req.Sub); j++ {
-					p.resp.Sub[j].Status = wire.StatusErr
-					p.resp.Sub[j].Err = "aborted: earlier operation in batch panicked"
+				for j := i + 1; j < len(subs); j++ {
+					slots[j].Status = wire.StatusErr
+					slots[j].Err = "aborted: earlier operation in batch panicked"
 					p.opDone()
 				}
 				ok = false
@@ -414,38 +521,40 @@ func (c *conn) writeLoop() {
 		c.nc.Close()
 	}
 	for p := range c.respQ {
-		<-p.ready
+		c.await(p)
 		if broken {
 			// The client is gone but the queue must still drain so the
 			// reader never blocks on a full respQ.
-			p.release()
+			c.recycle(p)
 			continue
 		}
+		span := p.span
 		var t0 int64
-		if p.span != 0 {
+		if span != 0 {
 			t0 = c.tb.Now()
 		}
 		buf, err = wire.AppendResponse(buf[:0], &p.req, &p.resp)
-		p.release() // Pairs are encoded (or abandoned); pool their storage
 		if err != nil {
 			// Encoding bug or oversized result; answer with an error
 			// frame to keep the stream aligned.
 			e := wire.Response{Status: wire.StatusErr, Err: err.Error()}
 			buf, err = wire.AppendResponse(buf[:0], &p.req, &e)
-			if err != nil {
-				brk()
-				continue
-			}
+		}
+		// Encoded (or abandoned): pool its storage, free the pending.
+		c.recycle(p)
+		if err != nil {
+			brk()
+			continue
 		}
 		c.armWrite()
 		if _, err = bw.Write(buf); err != nil {
 			brk()
 			continue
 		}
-		if p.span != 0 {
+		if span != 0 {
 			// Encode-and-write span: buffered, so usually cheap; stalls
 			// here mean a slow or stopped peer.
-			c.tb.Record(trace.KindReqWrite, 0, t0, c.tb.Now()-t0, p.span, 0)
+			c.tb.Record(trace.KindReqWrite, 0, t0, c.tb.Now()-t0, span, 0)
 		}
 		if cap(buf) > respRetain {
 			// One huge scan response must not pin a megabyte for the

@@ -146,12 +146,14 @@ type Server struct {
 	reg    *obs.Registry
 	idx    Index
 	inj    *faults.Injector
-	// wal is the write-ahead log (nil without Config.WALDir). walMu is
-	// held from a record's Append through its applies to NoteApplied,
-	// so the log's order is the index's apply order and Append has one
-	// caller at a time.
-	wal   *wal.Log
-	walMu sync.Mutex
+	// wal is the write-ahead log (nil without Config.WALDir), set by
+	// New and kept after closeWAL seals it. walMu is held from a
+	// record's Append through its applies to NoteApplied, so the log's
+	// order is the index's apply order and Append has one caller at a
+	// time.
+	wal      *wal.Log
+	walMu    sync.Mutex
+	walClose sync.Once
 	// ckptCtx is the checkpoint snapshot scanner's lock context; it
 	// runs concurrently with the writers, so it has its own.
 	ckptCtx *locks.Ctx

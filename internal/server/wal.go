@@ -79,18 +79,19 @@ func (s *Server) openWAL() error {
 }
 
 // closeWAL seals the log (fsync + close) and releases the checkpoint
-// context. Called once no connection can write.
+// context, once however many times Shutdown calls it, after no
+// connection can write. s.wal stays set: WALReport and WALRecovery read
+// it unsynchronized, during a drain too, and a sealed log still reports.
 func (s *Server) closeWAL() {
-	if s.wal != nil {
+	s.walClose.Do(func() {
+		if s.wal == nil {
+			return
+		}
 		if err := s.wal.Close(); err != nil && s.cfg.WALLogf != nil {
 			s.cfg.WALLogf("wal: close: %v", err)
 		}
-		s.wal = nil
-	}
-	if s.ckptCtx != nil {
 		s.ckptCtx.Close()
-		s.ckptCtx = nil
-	}
+	})
 }
 
 // checkWALLayout validates the WAL root, writing the layout marker on
@@ -177,7 +178,9 @@ var ackBatchPool = sync.Pool{New: func() any {
 // Committed implements wal.Committer: on fsync failure every slot is
 // rewritten to StatusErr — the write may be in the index but is not
 // durable, and an error answer keeps it in the client's indeterminate
-// set rather than its acked set.
+// set rather than its acked set. The batch goes back to the pool
+// before the acks: after the request's last opDone the writer may
+// recycle its pending, slots included.
 func (a *ackBatch) Committed(err error) {
 	if err != nil {
 		msg := "wal: " + err.Error()
@@ -186,13 +189,14 @@ func (a *ackBatch) Committed(err error) {
 			slot.Err = msg
 		}
 	}
-	for range a.slots {
-		a.p.opDone()
-	}
+	p, n := a.p, len(a.slots)
 	if cap(a.slots) <= ackBatchCap {
 		clear(a.slots)
 		*a = ackBatch{slots: a.slots[:0]}
 		ackBatchPool.Put(a)
+	}
+	for range n {
+		p.opDone()
 	}
 }
 
@@ -284,9 +288,6 @@ func (s *Server) WALReport() *obs.WALReport {
 		rep.Policy = wal.SyncInterval
 	}
 	l := s.wal
-	if l == nil {
-		return rep
-	}
 	st := l.Stats()
 	rec := l.Recovery()
 	rep.AppendedRecords = st.AppendedRecords

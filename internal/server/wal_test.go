@@ -580,3 +580,52 @@ func TestWALBatchOneRecord(t *testing.T) {
 		t.Fatalf("appended ops = %d, want 1024", rep.AppendedOps)
 	}
 }
+
+// TestWALReportAcrossShutdown scrapes WALReport and WALRecovery in a
+// loop while Shutdown drains and seals the log, as `optiqld -obs`
+// serves /debug/wal during a drain. The log stays set after it is
+// sealed, so under -race the scrapes must not race the drain, and a
+// report taken afterwards still carries the appended writes.
+func TestWALReportAcrossShutdown(t *testing.T) {
+	srv, addr := startServer(t, walConfig(t.TempDir(), "btree", wal.SyncInterval))
+	cl, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const n = 64
+	for k := uint64(1); k <= n; k++ {
+		if r, err := cl.Do(wire.Put(k, k)); err != nil || r.Status != wire.StatusOK {
+			t.Fatalf("PUT %d = %+v, %v", k, r, err)
+		}
+	}
+	stop := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		i := 0
+		for ; ; i++ {
+			select {
+			case <-stop:
+				scraped <- i
+				return
+			default:
+			}
+			srv.WALReport()
+			srv.WALRecovery()
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Keep scraping the sealed log for a moment.
+	time.Sleep(5 * time.Millisecond)
+	close(stop)
+	if i := <-scraped; i == 0 {
+		t.Fatal("no scrape ran")
+	}
+	if rep := srv.WALReport(); rep.AppendedOps != n {
+		t.Fatalf("report after Shutdown = %+v, want %d appended ops", rep, n)
+	}
+}

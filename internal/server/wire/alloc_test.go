@@ -41,6 +41,29 @@ func TestEncodeDecodeAllocs(t *testing.T) {
 		}
 	})
 
+	// A BATCH decoded into caller-given slots allocates nothing.
+	t.Run("batch-parse-into", func(t *testing.T) {
+		sub := make([]Request, MaxBatch)
+		for i := range sub {
+			sub[i] = Put(uint64(i), uint64(i))
+		}
+		req := Batch(sub...)
+		frame, err := AppendRequest(nil, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var slots [MaxBatch]Request
+		allocs := testing.AllocsPerRun(100, func() {
+			pr, err := ParseRequestInto(frame[4:], slots[:])
+			if err != nil || len(pr.Sub) != MaxBatch {
+				t.Fatalf("ParseRequestInto = %d subs, %v", len(pr.Sub), err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("BATCH parse into slots allocates %.1f objects, want 0", allocs)
+		}
+	})
+
 	t.Run("scan-encode", func(t *testing.T) {
 		pairs := make([]KV, 64)
 		for i := range pairs {

@@ -275,8 +275,12 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	return v, nil
 }
 
+// parseRequestBody decodes one request. A BATCH's sub-requests go
+// into subs[:n] when subs has room for them, and into a new slice
+// otherwise; nested decodes pass nil.
+//
 //optiql:noalloc
-func parseRequestBody(r *reader, nested bool) (Request, error) {
+func parseRequestBody(r *reader, subs []Request, nested bool) (Request, error) {
 	var req Request
 	op, err := r.u8()
 	if err != nil {
@@ -308,10 +312,13 @@ func parseRequestBody(r *reader, nested bool) (Request, error) {
 		if n == 0 || n > MaxBatch {
 			return req, errBatchSize(int(n))
 		}
-		//optiqlvet:ignore noalloc a batch owns its sub-request slice; the allocation is per batch, not per operation, and the alloc tests only pin non-batch shapes
-		req.Sub = make([]Request, n)
+		if len(subs) < int(n) {
+			//optiqlvet:ignore noalloc ParseRequest's batch owns a new sub-request slice; the server decodes into pooled slots through ParseRequestInto and allocates nothing
+			subs = make([]Request, n)
+		}
+		req.Sub = subs[:n:n]
 		for i := range req.Sub {
-			if req.Sub[i], err = parseRequestBody(r, true); err != nil {
+			if req.Sub[i], err = parseRequestBody(r, nil, true); err != nil {
 				return req, err
 			}
 		}
@@ -322,12 +329,24 @@ func parseRequestBody(r *reader, nested bool) (Request, error) {
 }
 
 // ParseRequest decodes one request payload (without the frame header).
-// Trailing bytes are a protocol error.
+// Trailing bytes are a protocol error. A BATCH's sub-requests get a
+// new slice.
 //
 //optiql:noalloc
 func ParseRequest(payload []byte) (Request, error) {
+	return ParseRequestInto(payload, nil)
+}
+
+// ParseRequestInto is ParseRequest with caller-given BATCH slots: a
+// BATCH of n sub-requests is decoded into subs[:n], which the returned
+// request's Sub aliases, so a caller that passes MaxBatch slots
+// decodes every request without allocating. With fewer than n slots
+// the batch gets a new slice, as in ParseRequest.
+//
+//optiql:noalloc
+func ParseRequestInto(payload []byte, subs []Request) (Request, error) {
 	r := reader{payload}
-	req, err := parseRequestBody(&r, false)
+	req, err := parseRequestBody(&r, subs, false)
 	if err != nil {
 		return req, err
 	}

@@ -32,25 +32,33 @@ func TestRequestRoundTrip(t *testing.T) {
 		Scan(0, MaxScan),
 		Batch(Get(1), Put(2, 3), Del(4), Scan(5, 6)),
 	}
+	// Each request decodes twice: with new storage (ParseRequest) and
+	// into caller-given slots, which a BATCH's Sub must alias.
+	var slots [MaxBatch]Request
 	for _, want := range reqs {
 		frame, err := AppendRequest(nil, &want)
 		if err != nil {
 			t.Fatalf("AppendRequest(%+v): %v", want, err)
 		}
-		got, err := ParseRequest(stripHeader(t, frame))
-		if err != nil {
-			t.Fatalf("ParseRequest(%+v): %v", want, err)
-		}
-		if got.Op != want.Op || got.Key != want.Key || got.Value != want.Value || got.Max != want.Max {
-			t.Fatalf("round trip %+v -> %+v", want, got)
-		}
-		if len(got.Sub) != len(want.Sub) {
-			t.Fatalf("batch round trip lost subs: %d -> %d", len(want.Sub), len(got.Sub))
-		}
-		for i := range got.Sub {
-			g, w := got.Sub[i], want.Sub[i]
-			if g.Op != w.Op || g.Key != w.Key || g.Value != w.Value || g.Max != w.Max {
-				t.Fatalf("sub %d: %+v -> %+v", i, w, g)
+		for _, subs := range [][]Request{nil, slots[:]} {
+			got, err := ParseRequestInto(stripHeader(t, frame), subs)
+			if err != nil {
+				t.Fatalf("ParseRequestInto(%+v, %d slots): %v", want, len(subs), err)
+			}
+			if got.Op != want.Op || got.Key != want.Key || got.Value != want.Value || got.Max != want.Max {
+				t.Fatalf("round trip %+v -> %+v", want, got)
+			}
+			if len(got.Sub) != len(want.Sub) {
+				t.Fatalf("batch round trip lost subs: %d -> %d", len(want.Sub), len(got.Sub))
+			}
+			if subs != nil && len(got.Sub) > 0 && &got.Sub[0] != &slots[0] {
+				t.Fatalf("batch decoded into %d slots does not alias them", len(subs))
+			}
+			for i := range got.Sub {
+				g, w := got.Sub[i], want.Sub[i]
+				if g.Op != w.Op || g.Key != w.Key || g.Value != w.Value || g.Max != w.Max {
+					t.Fatalf("sub %d: %+v -> %+v", i, w, g)
+				}
 			}
 		}
 	}

@@ -58,7 +58,35 @@ func newTestServer(t testing.TB, index, scheme, policy string) *Server {
 func newTestConn(t testing.TB, s *Server) (*conn, *locks.Ctx) {
 	ctx := locks.NewCtx(s.pool, 0)
 	t.Cleanup(ctx.Close)
-	return &conn{srv: s, id: s.connSeq.Add(1)}, ctx
+	return s.newConn(nil), ctx
+}
+
+// admitTest takes a pending from c and parses req into it, through the
+// encoding the reader decodes.
+func admitTest(t testing.TB, c *conn, req wire.Request) *pending {
+	t.Helper()
+	frame, err := wire.AppendRequest(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := c.take()
+	if err := p.parse(frame[4:]); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// awaitTest is the writer's await with a deadline.
+func awaitTest(c *conn, p *pending, d time.Duration) bool {
+	timeout := time.After(d)
+	for p.remaining.Load() != 0 {
+		select {
+		case <-c.wake:
+		case <-timeout:
+			return false
+		}
+	}
+	return true
 }
 
 // schedReq encodes a run of one connection's scheduled writes as one
@@ -176,15 +204,13 @@ func replaySched(t *testing.T, index, scheme, policy string, prog *indextest.Sch
 			if conns[id] == nil {
 				conns[id], ctxs[id] = newTestConn(t, s)
 			}
-			ps[ri] = newPending(schedReq(run, identity))
+			ps[ri] = admitTest(t, conns[id], schedReq(run, identity))
 			if !conns[id].dispatch(ctxs[id], ps[ri]) {
 				t.Fatalf("wal=%q batch %d: dispatch reported a panic", policy, bi)
 			}
 		}
 		for ri, run := range runs {
-			select {
-			case <-ps[ri].ready:
-			case <-time.After(10 * time.Second):
+			if !awaitTest(conns[run[0].Conn], ps[ri], 10*time.Second) {
 				t.Fatalf("wal=%q batch %d: request %d was never answered", policy, bi, ri)
 			}
 			for i, got := range respSlots(&ps[ri].resp) {
@@ -192,6 +218,7 @@ func replaySched(t *testing.T, index, scheme, policy string, prog *indextest.Sch
 					t.Fatalf("wal=%q batch %d: %v", policy, bi, err)
 				}
 			}
+			conns[run[0].Conn].recycle(ps[ri])
 		}
 		// Between batches every connection must see its own surviving
 		// writes.
@@ -351,12 +378,14 @@ func TestWritePathAllocs(t *testing.T) {
 			s := newTestServer(t, "btree", testScheme(), policy)
 			c, ctx := newTestConn(t, s)
 			for k := uint64(1); k <= 1024; k++ {
-				p := newPending(wire.Put(k, k))
+				p := admitTest(t, c, wire.Put(k, k))
 				c.dispatch(ctx, p)
+				c.await(p)
+				c.recycle(p)
 			}
 			for _, req := range []wire.Request{wire.Put(512, 7), wire.Get(512)} {
-				p := newPending(req)
-				p.remaining.Store(1 << 30) // never reaches zero: ready is never closed
+				p := admitTest(t, c, req)
+				p.remaining.Store(1 << 30) // never reaches zero: no wake-up is sent
 				allocs := testing.AllocsPerRun(500, func() {
 					c.dispatch(ctx, p)
 				})
