@@ -16,17 +16,15 @@ test:
 race:
 	$(GO) test -race -short ./internal/core/ ./internal/locks/ ./internal/hist/ ./internal/btree/ ./internal/art/ ./internal/server/... ./internal/wal/ ./internal/indextest/...
 
-# lint builds the optiqlvet multichecker once and runs it both
-# standalone (module-wide facts, unused-suppression reporting) and via
-# go vet's -vettool protocol (per-package, integrates with the build
-# cache). The binary is cached in bin/ and rebuilt only when its
-# sources change, via go build's own staleness check. The escape gate
+# lint builds the optiqlvet multichecker and runs it once over the
+# module (module-wide facts, unused-suppression reporting). The binary
+# is cached in bin/ and rebuilt only when its sources change, via go
+# build's own staleness check. The escape gate
 # then asks the compiler what the analyzers cannot see across calls:
 # which hot-path locals it moved to the heap (scripts/escape_allow.txt)
 # and whether the read-path helpers still inline (scripts/inline_keep.txt).
 lint: bin/optiqlvet
 	./bin/optiqlvet ./...
-	$(GO) vet -vettool=$(abspath bin/optiqlvet) ./...
 	scripts/escape_check.sh
 
 bin/optiqlvet: FORCE

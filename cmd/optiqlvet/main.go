@@ -1,32 +1,24 @@
 // Command optiqlvet is the static enforcement suite for the OptiQL
-// protocol invariants. It runs in two modes:
-//
-// Standalone multichecker (module-wide facts, unused-suppression
-// reporting):
+// protocol invariants. It loads the matched packages, tests included,
+// and runs every analyzer over them with module-wide facts, reporting
+// unused suppression directives too:
 //
 //	go run ./cmd/optiqlvet ./...
 //	go run ./cmd/optiqlvet -checks shcheck,expair ./internal/btree
 //
-// As a go vet tool (per-package, integrates with the build cache):
-//
-//	go build -o bin/optiqlvet ./cmd/optiqlvet
-//	go vet -vettool=$(pwd)/bin/optiqlvet ./...
-//
-// Exit status: 0 clean, 1 usage or load failure, 2 findings.
+// -h lists the analyzers. Exit status: 0 clean, 1 usage or load
+// failure, 2 findings.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"optiql/internal/analysis"
 	"optiql/internal/analysis/driver"
 	"optiql/internal/analysis/load"
-	"optiql/internal/analysis/unitchecker"
 )
 
 func main() {
@@ -35,14 +27,9 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("optiqlvet", flag.ContinueOnError)
-	versionFlag := fs.String("V", "", "print version and exit (go vet handshake; use -V=full)")
-	flagsFlag := fs.Bool("flags", false, "print the tool's flags as JSON and exit (go vet handshake)")
 	checks := fs.String("checks", "", "comma-separated analyzer names to run (default: all)")
-	noTests := fs.Bool("notests", false, "skip _test.go files and external test packages")
-	list := fs.Bool("list", false, "list the analyzers and exit")
-	debug := fs.Bool("debug", false, "print per-analyzer timing to stderr")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: optiqlvet [-checks a,b] [packages]\n       optiqlvet <unit>.cfg   (go vet -vettool mode)\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: optiqlvet [-checks a,b] [packages]\n\nAnalyzers:\n")
 		for _, a := range driver.All() {
 			fmt.Fprintf(fs.Output(), "  %-10s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
 		}
@@ -51,43 +38,17 @@ func run(args []string) int {
 		return 1
 	}
 
-	if *versionFlag != "" {
-		// The go command caches vet results keyed on this line.
-		return printVersion(*versionFlag)
-	}
-	if *flagsFlag {
-		// go vet probes the tool's flag set before invoking it. None of
-		// our flags are go vet pass-throughs, so the list is empty.
-		fmt.Println("[]")
-		return 0
-	}
-	if *list {
-		for _, a := range driver.All() {
-			fmt.Printf("%-10s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
-		}
-		return 0
-	}
-
 	analyzers, err := selectAnalyzers(*checks)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "optiqlvet: %v\n", err)
 		return 1
 	}
 
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitchecker.Main(rest[0], analyzers)
-	}
-
-	patterns := rest
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	var opts driver.Options
-	if *debug {
-		opts.Debug = os.Stderr
-	}
-	rep, err := driver.RunWith(load.Config{Patterns: patterns, Tests: !*noTests}, analyzers, opts)
+	rep, err := driver.Run(load.Config{Patterns: patterns}, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "optiqlvet: %v\n", err)
 		return 1
@@ -110,7 +71,7 @@ func selectAnalyzers(checks string) ([]*analysis.Analyzer, error) {
 		}
 		a := driver.ByName(name)
 		if a == nil {
-			return nil, fmt.Errorf("unknown analyzer %q (run with -list)", name)
+			return nil, fmt.Errorf("unknown analyzer %q (run with -h)", name)
 		}
 		out = append(out, a)
 	}
@@ -118,23 +79,4 @@ func selectAnalyzers(checks string) ([]*analysis.Analyzer, error) {
 		return nil, fmt.Errorf("no analyzers selected")
 	}
 	return out, nil
-}
-
-// printVersion implements the go vet -V=full handshake: a single
-// stable line the go command can hash into its action cache, derived
-// from the tool binary's own contents.
-func printVersion(mode string) int {
-	if mode != "full" {
-		fmt.Println("optiqlvet version devel")
-		return 0
-	}
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("optiqlvet version devel buildID=%x\n", h.Sum(nil)[:16])
-	return 0
 }

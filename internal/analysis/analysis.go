@@ -10,9 +10,8 @@
 // the three pieces the analyzers need: the Analyzer/Pass/Diagnostic
 // vocabulary (this file), AST walking and annotation helpers
 // (astwalk.go), and in-source suppression directives (ignore.go).
-// Package loading lives in the load subpackage, the multichecker in
-// driver, the `go vet -vettool` protocol in unitchecker, and the
-// golden-test harness in analysistest.
+// Package loading lives in the load subpackage, the one driver in
+// driver, and the golden-test harness in analysistest.
 package analysis
 
 import (
@@ -28,7 +27,7 @@ import (
 // analyzer is independent — but there is an explicit two-phase hook
 // for module-wide facts: if Collect is non-nil the driver runs it
 // over every package before any Run, and the analyzer may record
-// string-keyed facts in the shared FactSet it sees again at Run time.
+// facts in the shared FactSet it sees again at Run time.
 type Analyzer struct {
 	// Name is the analyzer's identifier: flag values, diagnostic
 	// suffixes and suppression directives all use it.
@@ -63,7 +62,7 @@ type Pass struct {
 	// Facts is the analyzer's module-wide fact store, shared between
 	// its Collect and Run phases across all packages of the driver
 	// invocation. Never nil.
-	Facts *FactSet
+	Facts FactSet
 
 	report func(Diagnostic)
 }
@@ -78,9 +77,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // NewPass assembles a Pass; drivers and tests use it, analyzers never
 // need to. report may be nil (Collect phases discard diagnostics).
-func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, sizes types.Sizes, facts *FactSet, report func(Diagnostic)) *Pass {
+func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, sizes types.Sizes, facts FactSet, report func(Diagnostic)) *Pass {
 	if facts == nil {
-		facts = NewFactSet()
+		facts = FactSet{}
 	}
 	if sizes == nil {
 		sizes = types.SizesFor("gc", "amd64")
@@ -96,45 +95,19 @@ type Diagnostic struct {
 	Message  string
 }
 
-// FactSet is a string-keyed module-wide fact store. Keys are
-// analyzer-chosen (the convention is "pkgpath.Type.field"); the value
-// carries optional detail such as the position that established the
-// fact. It is not safe for concurrent use; the driver runs passes
-// sequentially.
-type FactSet struct {
-	m map[string]string
-}
-
-// NewFactSet returns an empty fact store.
-func NewFactSet() *FactSet { return &FactSet{m: make(map[string]string)} }
+// FactSet is an analyzer's module-wide fact store, keyed by an
+// analyzer-chosen string (the convention is "pkgpath.Type.field").
+// Values are whatever Go value the analyzer records, and a lookup
+// type-asserts it back; store values, not pointers into state a later
+// pass may mutate. Reading is a plain map index. It is not safe for
+// concurrent writes: Collect runs sequentially, Run only reads.
+type FactSet map[string]any
 
 // Set records a fact, keeping the first value if already present.
-func (f *FactSet) Set(key, val string) {
-	if _, ok := f.m[key]; !ok {
-		f.m[key] = val
+func (f FactSet) Set(key string, val any) {
+	if _, ok := f[key]; !ok {
+		f[key] = val
 	}
-}
-
-// Get returns the fact's value and whether it exists.
-func (f *FactSet) Get(key string) (string, bool) {
-	v, ok := f.m[key]
-	return v, ok
-}
-
-// Has reports whether the fact exists.
-func (f *FactSet) Has(key string) bool {
-	_, ok := f.m[key]
-	return ok
-}
-
-// Keys returns all fact keys, sorted (tests and debugging).
-func (f *FactSet) Keys() []string {
-	out := make([]string, 0, len(f.m))
-	for k := range f.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SortDiagnostics orders diagnostics by file position then analyzer

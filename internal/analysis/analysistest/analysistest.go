@@ -45,7 +45,7 @@ type expectation struct {
 // comments in the matched packages' files.
 func Run(t *testing.T, dir string, patterns []string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	rep, err := driver.Run(load.Config{Dir: dir, Patterns: patterns, Tests: true}, analyzers)
+	rep, err := driver.Run(load.Config{Dir: dir, Patterns: patterns}, analyzers)
 	if err != nil {
 		t.Fatalf("driver: %v", err)
 	}

@@ -15,9 +15,8 @@
 // pass flags plain selector reads and writes of those fields.
 //
 // Soundness gap: fields reached through reflection or unsafe escape
-// the analysis, and in `go vet -vettool` mode each package is
-// analyzed alone, so cross-package mixing is only caught by the
-// standalone driver (CI runs both).
+// the analysis. The driver collects over every loaded package before
+// any Run, so mixing across packages is caught.
 package atomicmix
 
 import (
@@ -143,13 +142,13 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			key, ok := fieldKey(fv)
-			if !ok || !pass.Facts.Has(key) {
+			if !ok {
 				return true
 			}
-			if addressedForAtomic(pass.Info, sel, stack) {
+			where, ok := pass.Facts[key]
+			if !ok || addressedForAtomic(pass.Info, sel, stack) {
 				return true
 			}
-			where, _ := pass.Facts.Get(key)
 			kind := "read"
 			if isWriteTarget(sel, stack) {
 				kind = "write"

@@ -1,10 +1,8 @@
 // Package driver runs the full optiqlvet suite over a module — the
-// multichecker behind `go run ./cmd/optiqlvet ./...` and the `make
-// lint` / CI entry point. Unlike the per-package `go vet -vettool`
-// mode (see unitchecker), the driver sees the whole module at once,
-// so two-phase analyzers (atomicmix, tornread, walorder) get
-// module-wide facts and unused suppression directives can be
-// reported.
+// multichecker behind `go run ./cmd/optiqlvet ./...`, `make lint`, CI
+// and the golden tests. It sees the whole module at once, so the
+// two-phase analyzers (atomicmix, tornread, walorder) get module-wide
+// facts and unused suppression directives can be reported.
 //
 // Phases: Collect runs sequentially over the targets in dependency
 // order (the loader's single `go list -deps` preserves it), so the
@@ -18,10 +16,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"optiql/internal/analysis"
 	"optiql/internal/analysis/atomicmix"
@@ -65,34 +60,15 @@ type Report struct {
 	Diagnostics []analysis.Diagnostic
 }
 
-// Options tune a driver invocation beyond the load configuration.
-type Options struct {
-	// Debug, when non-nil, receives per-analyzer cumulative wall time
-	// after the run (the -debug flag).
-	Debug io.Writer
-	// Workers bounds Run-phase parallelism; <= 0 means GOMAXPROCS
-	// capped at 8 (analysis is memory-bandwidth bound well before
-	// that).
-	Workers int
-}
-
-// Run loads the packages matched by cfg and applies the analyzers
-// with default options.
+// Run loads the packages matched by cfg and applies the analyzers.
 func Run(cfg load.Config, analyzers []*analysis.Analyzer) (*Report, error) {
-	return RunWith(cfg, analyzers, Options{})
-}
-
-// RunWith is Run with explicit Options.
-func RunWith(cfg load.Config, analyzers []*analysis.Analyzer, opts Options) (*Report, error) {
 	res, err := load.Load(cfg)
 	if err != nil {
 		return nil, err
 	}
-	facts := make(map[string]*analysis.FactSet, len(analyzers))
-	timing := make(map[string]*atomic.Int64, len(analyzers))
+	facts := make(map[string]analysis.FactSet, len(analyzers))
 	for _, a := range analyzers {
-		facts[a.Name] = analysis.NewFactSet()
-		timing[a.Name] = new(atomic.Int64)
+		facts[a.Name] = analysis.FactSet{}
 	}
 
 	// Collect: sequential, targets in dependency order.
@@ -101,24 +77,15 @@ func RunWith(cfg load.Config, analyzers []*analysis.Analyzer, opts Options) (*Re
 			if a.Collect == nil {
 				continue
 			}
-			t0 := time.Now()
-			pass := analysis.NewPass(a, res.Fset, pkg.Files, pkg.Types, pkg.Info, res.Sizes, facts[a.Name], nil)
-			a.Collect(pass)
-			timing[a.Name].Add(int64(time.Since(t0)))
+			a.Collect(analysis.NewPass(a, res.Fset, pkg.Files, pkg.Types, pkg.Info, res.Sizes, facts[a.Name], nil))
 		}
 	}
 
-	// Run: parallel per package, facts now read-only.
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
+	// Run: parallel per package, facts now read-only. Analysis is
+	// memory-bandwidth bound well before 8 workers.
 	perPkg := make([][]analysis.Diagnostic, len(res.Targets))
 	errs := make([]error, len(res.Targets))
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, min(runtime.GOMAXPROCS(0), 8))
 	var wg sync.WaitGroup
 	for i, pkg := range res.Targets {
 		wg.Add(1)
@@ -128,16 +95,14 @@ func RunWith(cfg load.Config, analyzers []*analysis.Analyzer, opts Options) (*Re
 			defer func() { <-sem }()
 			igs, diags := analysis.ParseIgnores(res.Fset, pkg.Files)
 			for _, a := range analyzers {
-				t0 := time.Now()
 				pass := analysis.NewPass(a, res.Fset, pkg.Files, pkg.Types, pkg.Info, res.Sizes, facts[a.Name],
 					func(d analysis.Diagnostic) { diags = append(diags, d) })
 				if err := a.Run(pass); err != nil {
 					errs[i] = fmt.Errorf("%s: %s: %v", a.Name, pkg.Path, err)
 					return
 				}
-				timing[a.Name].Add(int64(time.Since(t0)))
 			}
-			perPkg[i] = analysis.FilterIgnored(res.Fset, igs, diags, true)
+			perPkg[i] = analysis.FilterIgnored(res.Fset, igs, diags)
 		}(i, pkg)
 	}
 	wg.Wait()
@@ -151,24 +116,7 @@ func RunWith(cfg load.Config, analyzers []*analysis.Analyzer, opts Options) (*Re
 		all = append(all, diags...)
 	}
 	analysis.SortDiagnostics(res.Fset, all)
-	if opts.Debug != nil {
-		printTiming(opts.Debug, analyzers, timing)
-	}
 	return &Report{Result: res, Diagnostics: all}, nil
-}
-
-func printTiming(w io.Writer, analyzers []*analysis.Analyzer, timing map[string]*atomic.Int64) {
-	names := make([]string, 0, len(analyzers))
-	for _, a := range analyzers {
-		names = append(names, a.Name)
-	}
-	sort.SliceStable(names, func(i, j int) bool {
-		return timing[names[i]].Load() > timing[names[j]].Load()
-	})
-	fmt.Fprintf(w, "optiqlvet analyzer timing (collect+run, cpu-summed across workers):\n")
-	for _, name := range names {
-		fmt.Fprintf(w, "  %-10s %8.1fms\n", name, float64(timing[name].Load())/1e6)
-	}
 }
 
 // Print writes type errors and diagnostics in vet format and reports

@@ -39,11 +39,7 @@ func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go list over the whole module")
 	}
-	rep, err := driver.Run(load.Config{
-		Dir:      moduleRoot(t),
-		Patterns: []string{"./..."},
-		Tests:    true,
-	}, driver.All())
+	rep, err := driver.Run(load.Config{Dir: moduleRoot(t), Patterns: []string{"./..."}}, driver.All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +52,13 @@ func TestModuleClean(t *testing.T) {
 }
 
 // TestByName pins the suite roster: every analyzer is resolvable by
-// name and unknown names miss.
+// name, All holds exactly the roster, and unknown names miss.
 func TestByName(t *testing.T) {
-	for _, want := range []string{"shcheck", "expair", "noalloc", "atomicmix", "padalign", "recycle"} {
+	roster := []string{"shcheck", "expair", "noalloc", "atomicmix", "padalign", "recycle", "tornread", "walorder"}
+	if n := len(driver.All()); n != len(roster) {
+		t.Fatalf("len(All()) = %d, want %d", n, len(roster))
+	}
+	for _, want := range roster {
 		a := driver.ByName(want)
 		if a == nil {
 			t.Fatalf("ByName(%q) = nil", want)

@@ -86,10 +86,9 @@ func ParseIgnores(fset *token.FileSet, files []*ast.File) ([]*Ignore, []Diagnost
 
 // FilterIgnored drops diagnostics that a directive on the same or the
 // directly preceding line suppresses, marking those directives used.
-// ignorecheck diagnostics are never suppressed. If reportUnused is
-// set (the driver running the full suite), directives that suppressed
-// nothing are reported so stale suppressions surface.
-func FilterIgnored(fset *token.FileSet, igs []*Ignore, diags []Diagnostic, reportUnused bool) []Diagnostic {
+// ignorecheck diagnostics are never suppressed. Directives that
+// suppressed nothing are reported so stale suppressions surface.
+func FilterIgnored(fset *token.FileSet, igs []*Ignore, diags []Diagnostic) []Diagnostic {
 	byLoc := make(map[string][]*Ignore)
 	for _, ig := range igs {
 		key := ig.File
@@ -111,12 +110,10 @@ func FilterIgnored(fset *token.FileSet, igs []*Ignore, diags []Diagnostic, repor
 			kept = append(kept, d)
 		}
 	}
-	if reportUnused {
-		for _, ig := range igs {
-			if !ig.used {
-				kept = append(kept, Diagnostic{Pos: ig.Pos, Analyzer: IgnoreCheckName,
-					Message: "unused optiqlvet:ignore directive (no diagnostic suppressed); delete it or fix the analyzer list"})
-			}
+	for _, ig := range igs {
+		if !ig.used {
+			kept = append(kept, Diagnostic{Pos: ig.Pos, Analyzer: IgnoreCheckName,
+				Message: "unused optiqlvet:ignore directive (no diagnostic suppressed); delete it or fix the analyzer list"})
 		}
 	}
 	return kept

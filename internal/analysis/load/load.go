@@ -72,9 +72,6 @@ type Config struct {
 	Dir string
 	// Patterns are go package patterns; default ["./..."].
 	Patterns []string
-	// Tests includes _test.go files and external test packages
-	// (default in the driver; disable for quick API-only checks).
-	Tests bool
 }
 
 type listPkg struct {
@@ -146,29 +143,27 @@ func Load(cfg Config) (*Result, error) {
 	}
 
 	// Test-only imports of the targets (testing, httptest, ...).
-	if cfg.Tests {
-		var missing []string
-		seen := make(map[string]bool)
-		for _, lp := range targets {
-			for _, imp := range append(append([]string{}, lp.TestImports...), lp.XTestImports...) {
-				if imp == "C" || seen[imp] {
-					continue
-				}
-				seen[imp] = true
-				if _, ok := ld.pkgs[imp]; !ok && imp != "unsafe" {
-					missing = append(missing, imp)
-				}
+	var missing []string
+	seen := make(map[string]bool)
+	for _, lp := range targets {
+		for _, imp := range append(append([]string{}, lp.TestImports...), lp.XTestImports...) {
+			if imp == "C" || seen[imp] {
+				continue
+			}
+			seen[imp] = true
+			if _, ok := ld.pkgs[imp]; !ok && imp != "unsafe" {
+				missing = append(missing, imp)
 			}
 		}
-		if len(missing) > 0 {
-			extra, err := ld.golist(missing, true)
-			if err != nil {
-				return nil, err
-			}
-			for _, lp := range extra {
-				if _, done := ld.pkgs[lp.ImportPath]; !done {
-					ld.checkPlain(lp, false)
-				}
+	}
+	if len(missing) > 0 {
+		extra, err := ld.golist(missing, true)
+		if err != nil {
+			return nil, err
+		}
+		for _, lp := range extra {
+			if _, done := ld.pkgs[lp.ImportPath]; !done {
+				ld.checkPlain(lp, false)
 			}
 		}
 	}
@@ -184,7 +179,7 @@ func Load(cfg Config) (*Result, error) {
 		if pkg != nil {
 			res.Targets = append(res.Targets, pkg)
 		}
-		if cfg.Tests && len(lp.XTestGoFiles) > 0 {
+		if len(lp.XTestGoFiles) > 0 {
 			if xp := ld.xtestPackage(lp, pkg); xp != nil {
 				res.Targets = append(res.Targets, xp)
 			}
@@ -321,11 +316,11 @@ func newInfo() *types.Info {
 
 // targetPackage builds the analysis target for one module package:
 // its sources re-checked with full type info, with in-package test
-// files folded in when requested.
+// files folded in.
 func (ld *loader) targetPackage(lp *listPkg) *Package {
 	names := append([]string{}, lp.GoFiles...)
 	testVariant := false
-	if ld.cfg.Tests && len(lp.TestGoFiles) > 0 {
+	if len(lp.TestGoFiles) > 0 {
 		names = append(names, lp.TestGoFiles...)
 		testVariant = true
 	}

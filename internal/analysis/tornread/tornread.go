@@ -35,7 +35,7 @@
 //     type-stable under the recycler — see DESIGN §9/§15).
 //
 // Interprocedural flow uses per-function summaries established in the
-// Collect phase and carried through the vetx fact files: which
+// Collect phase and shared module-wide as driver facts: which
 // parameters are dereferenced unchecked, which reach sinks by value or
 // through racy loads, and how the return value derives from the
 // arguments. Flagging for parameter-conditional events happens at call
@@ -45,7 +45,6 @@
 package tornread
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -191,26 +190,6 @@ type summary struct {
 	analyzed bool
 }
 
-func (s *summary) encode() string {
-	return fmt.Sprintf("d=%x sl=%x sv=%x rt=%d rtm=%x rvm=%x rr=%d rrm=%x",
-		uint64(s.deref), uint64(s.sinkLoad), uint64(s.sinkVal),
-		s.ret.t, uint64(s.ret.tm), uint64(s.ret.vm), s.ret.r, uint64(s.ret.rm))
-}
-
-func decodeSummary(v string) *summary {
-	s := &summary{analyzed: true}
-	var rt, rr int
-	var d, sl, sv, rtm, rvm, rrm uint64
-	_, err := fmt.Sscanf(v, "d=%x sl=%x sv=%x rt=%d rtm=%x rvm=%x rr=%d rrm=%x",
-		&d, &sl, &sv, &rt, &rtm, &rvm, &rr, &rrm)
-	if err != nil {
-		return nil
-	}
-	s.deref, s.sinkLoad, s.sinkVal = mask(d), mask(sl), mask(sv)
-	s.ret = absval{t: taint(rt), tm: mask(rtm), vm: mask(rvm), r: risk(rr), rm: mask(rrm)}
-	return s
-}
-
 func (s *summary) equal(o *summary) bool {
 	return s.deref == o.deref && s.sinkLoad == o.sinkLoad && s.sinkVal == o.sinkVal &&
 		s.ret.t == o.ret.t && s.ret.tm == o.ret.tm && s.ret.vm == o.ret.vm &&
@@ -226,7 +205,7 @@ func collect(pass *analysis.Pass) {
 	e := newEngine(pass, false)
 	e.summarizePackage()
 	for key, sum := range e.pkgSums {
-		pass.Facts.Set("tr:"+key, sum.encode())
+		pass.Facts.Set("tr:"+key, *sum)
 	}
 }
 
@@ -460,8 +439,9 @@ func (e *engine) lookupSummary(fn *types.Func) *summary {
 	if s, ok := e.pkgSums[key]; ok {
 		return s
 	}
-	if v, ok := e.pass.Facts.Get("tr:" + key); ok {
-		return decodeSummary(v)
+	if v, ok := e.pass.Facts["tr:"+key]; ok {
+		sum := v.(summary)
+		return &sum
 	}
 	return nil
 }

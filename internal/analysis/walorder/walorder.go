@@ -32,7 +32,7 @@
 //	errPath   — unwinding a failed Append
 //	offPolicy — the policy's DefersAcks selector was observed false
 //
-// Function summaries (through the vetx facts) carry two bits: whether
+// Function summaries (module-wide driver facts) carry two bits: whether
 // a function performs an apply that is not internally guarded, and
 // whether it may complete operations — so `dispatch` calling the
 // fully guarded `commitLogged` is unconstrained, while a helper that
@@ -41,7 +41,6 @@
 package walorder
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -97,16 +96,6 @@ type wsummary struct {
 	mayComplete      bool // may complete (ack) operations
 }
 
-func (s wsummary) encode() string {
-	return fmt.Sprintf("au=%t mc=%t", s.appliesUnguarded, s.mayComplete)
-}
-
-func decodeWsummary(v string) (wsummary, bool) {
-	var s wsummary
-	_, err := fmt.Sscanf(v, "au=%t mc=%t", &s.appliesUnguarded, &s.mayComplete)
-	return s, err == nil
-}
-
 func collect(pass *analysis.Pass) {
 	if pass.Pkg.Name() == "wal" {
 		return
@@ -114,7 +103,7 @@ func collect(pass *analysis.Pass) {
 	e := newWengine(pass, false)
 	e.summarize()
 	for key, sum := range e.sums {
-		pass.Facts.Set("wo:"+key, sum.encode())
+		pass.Facts.Set("wo:"+key, *sum)
 	}
 }
 
@@ -213,8 +202,8 @@ func (e *wengine) lookup(fn *types.Func) (wsummary, bool) {
 	if s, ok := e.sums[key]; ok {
 		return *s, true
 	}
-	if v, ok := e.pass.Facts.Get("wo:" + key); ok {
-		return decodeWsummary(v)
+	if v, ok := e.pass.Facts["wo:"+key]; ok {
+		return v.(wsummary), true
 	}
 	return wsummary{}, false
 }

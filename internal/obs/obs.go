@@ -19,6 +19,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -320,8 +321,9 @@ func (s *Snapshot) Merge(other Snapshot) {
 // counter sets and empty snapshots, so callers can thread one pointer
 // through unconditionally.
 type Registry struct {
-	mu   sync.Mutex
-	sets []*Counters
+	mu      sync.Mutex
+	sets    []*Counters
+	retired Snapshot // counts of the sets Retire dropped
 }
 
 // NewRegistry returns an empty registry.
@@ -340,18 +342,50 @@ func (r *Registry) NewCounters() *Counters {
 	return c
 }
 
-// Snapshot merges every registered set. It may run concurrently with
-// workers still counting; each cell is read atomically, so the result
-// is a consistent monotonic sample (exact once workers have stopped).
-func (r *Registry) Snapshot() Snapshot {
-	var s Snapshot
+// Retire folds c's counts into the registry's retired total and drops
+// c, so a worker that is gone (a closed connection) costs neither
+// memory nor snapshot time while its counts stay in every later
+// snapshot. The worker must have stopped counting on c. Retiring a set
+// twice, or one the registry never handed out, does nothing.
+func (r *Registry) Retire(c *Counters) {
 	if r == nil {
-		return s
+		return
 	}
 	r.mu.Lock()
-	sets := r.sets
-	r.mu.Unlock()
-	for _, c := range sets {
+	defer r.mu.Unlock()
+	i := slices.Index(r.sets, c)
+	if i < 0 {
+		return
+	}
+	r.retired.add(c)
+	last := len(r.sets) - 1
+	r.sets[i], r.sets[last] = r.sets[last], nil
+	r.sets = r.sets[:last]
+}
+
+// Len returns the number of registered sets not yet retired.
+func (r *Registry) Len() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.sets)
+}
+
+// Snapshot merges the retired total and every registered set. It may
+// run concurrently with workers still counting; each cell is read
+// atomically, and the merge holds the lock Retire takes, so no set is
+// counted both live and retired: the result is a consistent monotonic
+// sample (exact once workers have stopped).
+func (r *Registry) Snapshot() Snapshot {
+	if r == nil {
+		return Snapshot{}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.retired
+	for _, c := range r.sets {
 		s.add(c)
 	}
 	return s

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -94,6 +95,32 @@ func TestRegistrySnapshotMerges(t *testing.T) {
 	}
 }
 
+// TestRegistryRetireKeepsCounts: retiring a set leaves every snapshot
+// count where it was and drops the set; a second retire of the same
+// set counts nothing twice.
+func TestRegistryRetireKeepsCounts(t *testing.T) {
+	r := NewRegistry()
+	a, b := r.NewCounters(), r.NewCounters()
+	a.Add(EvExFree, 3)
+	b.Add(EvExFree, 4)
+	b.Inc(EvOpRestart)
+	before := r.Snapshot()
+	r.Retire(b)
+	if got := r.Snapshot(); got != before {
+		t.Fatalf("retire changed the snapshot: total %d, want %d", got.Total(), before.Total())
+	}
+	if r.Len() != 1 || slices.Contains(r.sets, b) {
+		t.Fatalf("retired set still registered (%d sets)", r.Len())
+	}
+	r.Retire(b)
+	a.Inc(EvExFree)
+	if got := r.Snapshot().Get(EvExFree); got != 8 {
+		t.Fatalf("ex_acquire_free = %d, want 8", got)
+	}
+	var nilReg *Registry
+	nilReg.Retire(a)
+}
+
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	const workers, per = 8, 10000
@@ -106,9 +133,10 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Inc(EvShValidateFail)
 			}
+			r.Retire(c)
 		}()
 	}
-	// Concurrent snapshots must be safe and monotonic.
+	// Concurrent snapshots must be safe and monotonic, retires included.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -126,6 +154,9 @@ func TestRegistryConcurrent(t *testing.T) {
 	<-done
 	if got := r.Snapshot().Get(EvShValidateFail); got != workers*per {
 		t.Fatalf("final count %d, want %d", got, workers*per)
+	}
+	if n := r.Len(); n != 0 {
+		t.Fatalf("%d sets still registered after every worker retired", n)
 	}
 }
 

@@ -254,7 +254,12 @@ func (c *conn) readLoop() {
 	// connection count.
 	ctx := locks.NewCtx(c.srv.pool, 0)
 	defer ctx.Close()
-	ctx.SetCounters(c.srv.reg.NewCounters())
+	// Once the last request has run, nothing counts on ctx (deferred
+	// acks count nothing), so the set folds into the registry's retired
+	// total instead of staying registered for ever.
+	ctr := c.srv.reg.NewCounters()
+	defer c.srv.reg.Retire(ctr)
+	ctx.SetCounters(ctr)
 	// Requests run on this Ctx, so their lock spans land in the
 	// connection buffer.
 	ctx.SetTrace(c.tb)

@@ -104,12 +104,14 @@ var errBadAnswer = errors.New("answer is not OK or has the wrong length")
 // TestServedRequestAllocs pins a whole served round trip — frame read,
 // parse, dispatch, the hop to the writer, encode and write — at zero
 // allocations for GET, PUT, DELETE, SCAN(16) and a 1024-PUT BATCH,
-// without a WAL and under the off policy (whose acks land at apply
-// time). testing.AllocsPerRun counts the whole process, server
+// without a WAL, under the off policy (whose acks land at apply time)
+// and under the interval policy (whose acks the syncer sends through
+// a pooled ackBatch, grown past its initial cap by the BATCH).
+// testing.AllocsPerRun counts the whole process, server
 // goroutines included. PUTs overwrite preloaded keys and a DELETE is
 // followed by the PUT that restores its key, so the tree never splits.
 func TestServedRequestAllocs(t *testing.T) {
-	for _, policy := range []string{"", wal.SyncOff} {
+	for _, policy := range []string{"", wal.SyncOff, wal.SyncInterval} {
 		t.Run(fmt.Sprintf("wal=%q", policy), func(t *testing.T) {
 			cfg := Config{Index: "btree"}
 			if policy != "" {

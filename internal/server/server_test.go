@@ -11,7 +11,9 @@ import (
 
 	"optiql/internal/core"
 	"optiql/internal/indextest"
+	"optiql/internal/obs"
 	"optiql/internal/server/wire"
+	"optiql/internal/wal"
 	"optiql/internal/workload"
 )
 
@@ -491,6 +493,60 @@ func TestShutdownUnblocksIdleConn(t *testing.T) {
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown blocked on an idle connection: %v", err)
+	}
+}
+
+// TestClosedConnsRetireCounters: connections that each PUT, GET and
+// SCAN and then close leave no counter set registered, and
+// Server.Counters still carries their counts: no event reads lower
+// after the close than it did while they were open.
+func TestClosedConnsRetireCounters(t *testing.T) {
+	for _, policy := range []string{"", wal.SyncInterval} {
+		t.Run(fmt.Sprintf("wal=%q", policy), func(t *testing.T) {
+			cfg := Config{}
+			if policy != "" {
+				cfg.WALDir = t.TempDir()
+				cfg.Fsync = policy
+			}
+			srv, addr := startServer(t, cfg)
+			own := srv.reg.Len() // the server's own sets
+			idle := srv.Counters()
+			const conns = 64
+			cls := make([]*wire.Client, conns)
+			for i := range cls {
+				cl, err := wire.Dial(addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cls[i] = cl
+				k := uint64(i + 1)
+				for _, req := range []wire.Request{wire.Put(k, k), wire.Get(k), wire.Scan(k, 4)} {
+					if resp, err := cl.Do(req); err != nil || resp.Status != wire.StatusOK {
+						t.Fatalf("conn %d op %d: %+v, %v", i, req.Op, resp, err)
+					}
+				}
+			}
+			open := srv.Counters()
+			if open.Total() <= idle.Total() {
+				t.Fatalf("no events counted for %d connections' requests", conns)
+			}
+			for _, cl := range cls {
+				cl.Close()
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for srv.reg.Len() > own {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d counter sets still registered after every connection closed, want %d", srv.reg.Len(), own)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			closed := srv.Counters()
+			for e := obs.Event(0); e < obs.NumEvents; e++ {
+				if closed.Get(e) < open.Get(e) {
+					t.Errorf("%s = %d after the close, %d before", e.Name(), closed.Get(e), open.Get(e))
+				}
+			}
+		})
 	}
 }
 

@@ -167,8 +167,9 @@ type ackBatch struct {
 	slots []*wire.Response
 }
 
-// ackBatchCap is a pooled ackBatch's slot capacity; one grown past it
-// by a large BATCH goes to the GC rather than back to the pool.
+// ackBatchCap is a new ackBatch's slot capacity. A larger BATCH grows
+// it, and the grown batch goes back to the pool: slots never exceed
+// wire.MaxBatch pointers (8 KiB).
 const ackBatchCap = 64
 
 var ackBatchPool = sync.Pool{New: func() any {
@@ -190,11 +191,9 @@ func (a *ackBatch) Committed(err error) {
 		}
 	}
 	p, n := a.p, len(a.slots)
-	if cap(a.slots) <= ackBatchCap {
-		clear(a.slots)
-		*a = ackBatch{slots: a.slots[:0]}
-		ackBatchPool.Put(a)
-	}
+	clear(a.slots)
+	*a = ackBatch{slots: a.slots[:0]}
+	ackBatchPool.Put(a)
 	for range n {
 		p.opDone()
 	}

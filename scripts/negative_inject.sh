@@ -3,7 +3,7 @@
 # WAL-ordering hazards, two upgrade-protocol hazards and an exclusive
 # token leaked through a loop break into scratch copies of the module
 # and assert that tornread, walorder, shcheck and expair each catch
-# their plant end-to-end through `go vet -vettool`.
+# their plant end-to-end through the optiqlvet binary.
 # A gate that cannot fail is not a gate; this proves the wired-up
 # binary still detects the exact hazard classes it exists for (mirrors
 # PR 5's verification).
@@ -17,9 +17,9 @@ if [[ ! -f "$root/go.mod" ]] || ! grep -q '^module optiql$' "$root/go.mod"; then
 	exit 1
 fi
 
-echo "== building vettool"
+echo "== building optiqlvet"
 go build -o bin/optiqlvet ./cmd/optiqlvet
-vettool="$root/bin/optiqlvet"
+optiqlvet="$root/bin/optiqlvet"
 
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
@@ -53,12 +53,12 @@ EOF
 expect_catch() {
 	local dir=$1 pkg=$2 analyzer=$3
 	local out
-	if out=$(cd "$dir" && go vet -vettool="$vettool" "$pkg" 2>&1); then
-		echo "negative_inject: $analyzer plant was NOT caught (vet exited 0)" >&2
+	if out=$(cd "$dir" && "$optiqlvet" "$pkg" 2>&1); then
+		echo "negative_inject: $analyzer plant was NOT caught (optiqlvet exited 0)" >&2
 		exit 1
 	fi
 	if ! grep -q "\[$analyzer\]" <<<"$out"; then
-		echo "negative_inject: vet failed but not with a $analyzer finding:" >&2
+		echo "negative_inject: optiqlvet failed but not with a $analyzer finding:" >&2
 		echo "$out" >&2
 		exit 1
 	fi
